@@ -1,5 +1,5 @@
 // rdfsum_perf: the repository benchmark's harness. run.py builds it and
-// forwards the driver's flags; see README.md for the workloads and metrics.
+// forwards its flags; see README.md for the workloads and metrics.
 //
 //   rdfsum_perf --workload serve_point|serve_mixed|ingest --seed N
 //               --seconds S --trace 0|1 [--work-dir DIR]
