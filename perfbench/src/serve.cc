@@ -41,11 +41,11 @@ constexpr uint64_t kServeTriples = 200'000;
 constexpr double kCheapRate = 500.0;
 /// Cheap requests replayed through the in-process layers when traced.
 constexpr size_t kReplayRequests = 2000;
-/// A run is rounds of one load interval of this length plus a probe step;
-/// latency figures are taken per interval and their median reported. At
-/// kCheapRate an interval holds 1250 cheap requests, so each interval's
-/// p99 has at least ten samples beyond it.
-constexpr double kIntervalSeconds = 2.5;
+/// A run is rounds of one load interval of this length and one probe
+/// step.
+constexpr double kIntervalSeconds = 1.25;
+/// Slices of a traced window, alternately untraced and traced.
+constexpr size_t kTraceSlices = 8;
 
 uint64_t FileBytes(const std::string& path) {
   struct stat st;
@@ -53,8 +53,8 @@ uint64_t FileBytes(const std::string& path) {
                                         : 0;
 }
 
-std::unique_ptr<Client> Connect(const Daemon& d, std::string* why) {
-  auto c = Client::Connect("127.0.0.1", d.server->port());
+std::unique_ptr<Client> Connect(const Server& server, std::string* why) {
+  auto c = Client::Connect("127.0.0.1", server.port());
   if (!c.ok()) {
     *why = "connect: " + c.status().ToString();
     return nullptr;
@@ -105,7 +105,7 @@ uint8_t PlannerFor(uint64_t j) {
 void ClosedCheapLane(Daemon* d, uint64_t seed, Clock::time_point deadline,
                      LaneResult* out, SpanLog* spans) {
   std::string why;
-  std::unique_ptr<Client> c = Connect(*d, &why);
+  std::unique_ptr<Client> c = Connect(*d->server, &why);
   if (c == nullptr) {
     out->Count(false, why);
     return;
@@ -138,7 +138,7 @@ void OpenCheapLane(Daemon* d, uint64_t seed, double period_s, double phase_s,
                    Clock::time_point start, Clock::time_point deadline,
                    LaneResult* out, SpanLog* spans) {
   std::string why;
-  std::unique_ptr<Client> c = Connect(*d, &why);
+  std::unique_ptr<Client> c = Connect(*d->server, &why);
   if (c == nullptr) {
     out->Count(false, why);
     return;
@@ -174,7 +174,7 @@ void OpenCheapLane(Daemon* d, uint64_t seed, double period_s, double phase_s,
 void HeavyLane(Daemon* d, uint64_t seed, Clock::time_point deadline,
                LaneResult* out, SpanLog* spans) {
   std::string why;
-  std::unique_ptr<Client> c = Connect(*d, &why);
+  std::unique_ptr<Client> c = Connect(*d->server, &why);
   if (c == nullptr) {
     out->Count(false, why);
     return;
@@ -247,16 +247,16 @@ Window RunWindow(Daemon* d, bool mixed, double seconds, uint64_t salt,
 }
 
 /// Server defaults, with enough workers for every connection the harness
-/// holds at once (cheap lane, heavy lane, probe), which the default 4 is
-/// on hosts of up to 5 cores.
+/// holds at once (cheap lane, heavy lane), which the default 4 is on hosts
+/// of up to 7 cores.
 ServerOptions Options() {
   ServerOptions o;
-  o.num_workers = std::max(o.num_workers, CheapConnections() + 2);
+  o.num_workers = std::max(o.num_workers, CheapConnections() + 1);
   return o;
 }
 
 bool WarmUp(Daemon* d, std::string* why) {
-  std::unique_ptr<Client> c = Connect(*d, why);
+  std::unique_ptr<Client> c = Connect(*d->server, why);
   if (c == nullptr) return false;
   // The first summary-planned request mints the weak summary and builds
   // the estimator; then every hot shape is planned once per mode.
@@ -275,11 +275,15 @@ bool WarmUp(Daemon* d, std::string* why) {
       return false;
     }
   }
-  return true;
+  // The probe daemon mints its weak summary too.
+  c = Connect(*d->probe, why);
+  return c != nullptr && CheckedQuery(c.get(), d->pool[0].text,
+                                      d->pool[0].expected, kWireSummary, 0,
+                                      why);
 }
 
 /// One full set-up: generate, freeze, start, reference answers, warm-up.
-bool SetUpServe(const Args& args, int index, bool heavy, Daemon* d,
+bool SetUpServe(const Args& args, int index, Daemon* d,
                 std::string* why) {
   d->target_triples =
       args.serve_triples > 0 ? args.serve_triples : kServeTriples;
@@ -299,11 +303,16 @@ bool SetUpServe(const Args& args, int index, bool heavy, Daemon* d,
     *why = "start: " + st.ToString();
     return false;
   }
+  d->probe = std::make_unique<Server>();
+  st = d->probe->Start(d->image, ServerOptions());
+  if (!st.ok()) {
+    *why = "start probe daemon: " + st.ToString();
+    return false;
+  }
   d->triples = d->server->snapshot()->num_triples();
   d->pool = MakeCheapPool(args.seed, d->num_products);
   d->heavy = HeavyQueries();
-  if (!d->ComputeCheapExpected(why)) return false;
-  if (heavy && !d->ComputeHeavyExpected(why)) {
+  if (!d->ComputeCheapExpected(why) || !d->ComputeHeavyExpected(why)) {
     return false;
   }
   return WarmUp(d, why);
@@ -311,7 +320,7 @@ bool SetUpServe(const Args& args, int index, bool heavy, Daemon* d,
 
 /// Runs `args.setup_repeats` full set-ups, keeping the last; returns their
 /// wall seconds.
-std::vector<double> SetUpRepeatedly(const Args& args, bool heavy, Daemon* d,
+std::vector<double> SetUpRepeatedly(const Args& args, Daemon* d,
                                     std::string* why) {
   std::vector<double> seconds;
   const int repeats =
@@ -319,10 +328,11 @@ std::vector<double> SetUpRepeatedly(const Args& args, bool heavy, Daemon* d,
   for (int i = 0; i < repeats; ++i) {
     if (i > 0) {
       d->server.reset();
+      d->probe.reset();
       std::remove(d->image.c_str());
     }
     const Clock::time_point t0 = Clock::now();
-    if (!SetUpServe(args, i, heavy, d, why)) return {};
+    if (!SetUpServe(args, i, d, why)) return {};
     seconds.push_back(SecondsSince(t0));
   }
   return seconds;
@@ -332,34 +342,37 @@ double Delta(const Window& w, const std::string& key) {
   return StatNumber(w.after, key) - StatNumber(w.before, key);
 }
 
-/// Mean over the heavy queries of each query's median latency: the heavy
-/// queries differ several-fold in cost, and a plain median over the mix
-/// would jump between them.
+/// Median over complete passes (one request of each heavy query, in
+/// rotation) of the pass's mean latency. The heavy queries' costs differ
+/// several-fold and each one's latency spreads over two modes, so a median
+/// over single requests jumps between queries and modes; a pass mean does
+/// not.
 double HeavyP50(const std::vector<double>& ms,
                 const std::vector<size_t>& query, size_t queries) {
+  std::vector<double> pass_ms;
   double sum = 0;
-  size_t counted = 0;
-  for (size_t q = 0; q < queries; ++q) {
-    std::vector<double> mine;
-    for (size_t i = 0; i < ms.size(); ++i) {
-      if (query[i] == q) mine.push_back(ms[i]);
+  size_t in_pass = 0;
+  for (size_t i = 0; i < ms.size(); ++i) {
+    if (in_pass > 0 && query[i] != (query[i - 1] + 1) % queries) {
+      sum = 0;  // the rotation restarted: drop the partial pass
+      in_pass = 0;
     }
-    if (!mine.empty()) {
-      sum += Median(mine);
-      ++counted;
+    sum += ms[i];
+    if (++in_pass == queries) {
+      pass_ms.push_back(sum / queries);
+      sum = 0;
+      in_pass = 0;
     }
   }
-  return counted > 0 ? sum / counted : 0.0;
+  return Median(pass_ms);
 }
 
 void CountLane(const LaneResult& lane, Report* report) {
   report->AddAttempts(lane.attempted, lane.failed, lane.reasons);
 }
 
-/// Checks shared by both serve workloads: `all` merges intervals whose
-/// cheap-request counts are `interval_samples`.
-void CheckWindow(const Daemon& d, const Window& all,
-                 const std::vector<size_t>& interval_samples, bool mixed,
+/// Checks shared by both serve workloads, over the merged window `all`.
+void CheckWindow(const Daemon& d, const Window& all, bool mixed,
                  Report* report) {
   const double hits = Delta(all, "plan_cache_hits");
   const double misses = Delta(all, "plan_cache_misses");
@@ -369,15 +382,12 @@ void CheckWindow(const Daemon& d, const Window& all,
   report->Check("plan_cache_hit_and_miss", ratio > 0 && ratio < 1, hit.str());
   report->Stamp("plan_cache_hit_ratio", ratio);
   report->Stamp("shape_repeat_share", ShapeRepeatShare(d.pool, all.cheap.picks));
-  const size_t fewest =
-      *std::min_element(interval_samples.begin(), interval_samples.end());
-  // Samples strictly beyond the p99 of the smallest interval.
-  const size_t beyond = fewest - (fewest * 99 + 99) / 100;
+  const size_t n = all.cheap.latency_ms.size();
+  // Samples strictly beyond the run's p99.
+  const size_t beyond = n - std::min(n, (n * 99 + 99) / 100);
   report->Check("ten_samples_beyond_p99", beyond >= 10,
-                std::to_string(interval_samples.size()) +
-                    " intervals, fewest " +
-                    std::to_string(fewest) + " samples, " +
-                    std::to_string(beyond) + " beyond p99");
+                std::to_string(n) + " samples, " + std::to_string(beyond) +
+                    " beyond p99");
   if (mixed) {
     const double parallel = Delta(all, "parallel_queries");
     report->Check("heavy_lane_fans_out", parallel > 0,
@@ -402,129 +412,161 @@ void StampServe(const Daemon& d, bool mixed, Report* report) {
   report->Stamp("server_workers", Options().num_workers);
 }
 
-/// Between two intervals: a reload of the served image with its first row
-/// (then the hot shapes are planned again, as at set-up), a summarize of a
-/// fresh copy of the graph, and on serve_point one pass of the heavy
-/// queries. Spreading these probes over the run, rather than
-/// bunching them after it, lets them see the same host as the intervals.
+/// The request latencies and throughput, over all of the run's requests.
+/// They are not gated (README.md, "End-to-end metrics"): an untraced run
+/// stamps them, a traced one reports them as per-layer metrics.
+void ReportRequestFigures(const Window& all, bool mixed, bool as_metrics,
+                          Report* report) {
+  auto put = [&](const char* name, double value, const char* unit) {
+    if (as_metrics) {
+      report->Metric(name, value, unit);
+    } else {
+      report->Stamp(name, value);
+    }
+  };
+  put("latency_p50_ms", Quantile(all.cheap.latency_ms, 0.5), "ms");
+  put("latency_p99_ms", Quantile(all.cheap.latency_ms, 0.99), "ms");
+  // serve_mixed's cheap lane runs at a fixed rate, so its throughput is the
+  // heavy lane's: the closed loop whose pace the program sets.
+  put("throughput_per_s",
+      (mixed ? all.heavy : all.cheap).latency_ms.size() / all.seconds, "1/s");
+}
+
+/// The end-to-end metrics of another workload's path, measured on this
+/// workload's image by a probe step after each load interval. The probes
+/// reload and query the probe daemon, so the measured daemon's plan cache
+/// and epoch are left alone, and they run while the load is paused, so
+/// they share no cores with it.
 struct Probes {
   std::vector<double> reload_to_first_row_ms;
   std::vector<double> summarize_ms;
   HeavySamples heavy;
 };
 
-/// Summarize W+S+TW+TS, first Dense() included, on a fresh copy of the
-/// served graph. The first of two passes is untimed: it leaves the
-/// allocator holding the memory the timed pass reuses, as in a process
-/// that summarizes repeatedly, instead of timing the kernel's page faults.
-double SummarizeOnce(const Daemon& d, uint64_t seed) {
-  double ms = 0;
-  for (int pass = 0; pass < 2; ++pass) {
-    uint64_t products = 0;
-    rdfsum::Graph g = MakeBsbmGraph(d.target_triples, seed, &products);
-    const Clock::time_point t0 = Clock::now();
-    g.Dense();
-    for (rdfsum::summary::SummaryKind kind :
-         rdfsum::summary::kAllQuotientKinds) {
-      rdfsum::summary::Summarize(g, kind);
-    }
-    ms = MillisSince(t0);
+/// RELOADs the probe daemon onto the served image, then runs a
+/// summary-planned query to its first row (which re-mints the weak
+/// summary).
+struct ReloadSample {
+  double to_first_row_ms = 0;
+  double reload_ms = 0;
+  double mint_ms = 0;
+};
+
+bool ReloadStep(const Daemon& d, Client* c, ReloadSample* out,
+                Report* report) {
+  std::string why;
+  const Clock::time_point t0 = Clock::now();
+  Status st = c->Reload("");
+  out->reload_ms = MillisSince(t0);
+  if (!st.ok()) {
+    report->Attempt(false, "reload: " + st.ToString());
+    return false;
   }
-  return ms;
+  const CheapQuery& q = d.pool[0];
+  Clock::time_point first;
+  const bool ok = CheckedQuery(c, q.text, q.expected, kWireSummary, 0, &why,
+                               &first);
+  report->Attempt(ok, why);
+  out->to_first_row_ms =
+      std::chrono::duration<double, std::milli>(first - t0).count();
+  out->mint_ms = 1e3 * MintSeconds(ReadStats(*d.probe), "W");
+  return ok;
 }
 
-bool ProbeStep(const Args& args, Daemon* d, bool heavy, Probes* p,
-               Report* report) {
-  std::string why;
-  std::unique_ptr<Client> c = Connect(*d, &why);
-  if (c == nullptr) {
-    report->Attempt(false, why);
-    return false;
+/// Summarize W+S+TW+TS, first Dense() included, on a fresh copy of the
+/// served graph.
+double SummarizeOnce(const Daemon& d, uint64_t seed) {
+  uint64_t products = 0;
+  rdfsum::Graph g = MakeBsbmGraph(d.target_triples, seed, &products);
+  const Clock::time_point t0 = Clock::now();
+  g.Dense();
+  for (rdfsum::summary::SummaryKind kind : rdfsum::summary::kAllQuotientKinds) {
+    rdfsum::summary::Summarize(g, kind);
   }
-  // Two reloads on one connection, hence one server worker; the second is
-  // timed, so its mint reuses the memory the first one's release freed.
+  return MillisSince(t0);
+}
+
+/// One probe step: a reload to first row, a summarize and, on serve_point,
+/// a pass over the heavy queries. With `timed` false the samples are
+/// dropped: the first step leaves the allocator holding the memory later
+/// steps reuse, as in a long-running process, instead of timing the
+/// kernel's page faults.
+bool ProbeStep(const Args& args, Daemon* d, Client* probe, bool heavy,
+               bool timed, Probes* p, Report* report) {
   ReloadSample r;
-  if (!ReloadStep(d, c.get(), &r, report) ||
-      !ReloadStep(d, c.get(), &r, report)) {
+  if (!ReloadStep(*d, probe, &r, report)) return false;
+  const double summarize_ms = SummarizeOnce(*d, args.seed);
+  HeavySamples untimed;
+  if (heavy && !HeavyPass(d, probe, timed ? &p->heavy : &untimed, report)) {
     return false;
   }
-  p->reload_to_first_row_ms.push_back(r.to_first_row_ms);
-  for (uint8_t planner : {kWireSummary, kWireGreedy}) {
-    for (size_t i = 0; i < kHotShapes; ++i) {
-      const CheapQuery& q = d->pool[i];
-      const bool ok =
-          CheckedQuery(c.get(), q.text, q.expected, planner, 0, &why);
-      report->Attempt(ok, why);
-      if (!ok) return false;
-    }
+  if (timed) {
+    p->reload_to_first_row_ms.push_back(r.to_first_row_ms);
+    p->summarize_ms.push_back(summarize_ms);
   }
-  p->summarize_ms.push_back(SummarizeOnce(*d, args.seed));
-  return !heavy || HeavyPass(d, c.get(), &p->heavy, report);
+  return true;
 }
 
 int RunServe(const Args& args, bool mixed, Report* report) {
   Daemon d;
   std::string why;
-  const std::vector<double> setups = SetUpRepeatedly(args, mixed, &d, &why);
+  const std::vector<double> setups = SetUpRepeatedly(args, &d, &why);
   if (setups.empty()) {
     std::cerr << "rdfsum_perf: set-up failed: " << why << "\n";
     return 1;
   }
   StampServe(d, mixed, report);
   if (args.corrupt_expected) d.CorruptExpected();
-  report->Stamp("interval_s", kIntervalSeconds);
-  const size_t rounds = std::max<size_t>(
-      1, static_cast<size_t>(args.seconds / kIntervalSeconds + 0.5));
 
   if (!args.trace) {
-    // Rounds of one load interval each, with a probe step after each.
+    // Rounds of one load interval and one probe step. Latency quantiles
+    // and throughput are taken over all of the run's requests; peak memory
+    // is the median over the intervals' peaks.
+    std::unique_ptr<Client> probe = Connect(*d.probe, &why);
+    if (probe == nullptr) {
+      std::cerr << "rdfsum_perf: probe daemon: " << why << "\n";
+      return 1;
+    }
+    Probes probes;
+    ProbeStep(args, &d, probe.get(), !mixed, /*timed=*/false, &probes,
+              report);
+    const size_t rounds = std::max<size_t>(
+        1, static_cast<size_t>(args.seconds / kIntervalSeconds + 0.5));
     const bool rss_reset = ResetPeakRss();
     report->Stamp("peak_rss_scope", rss_reset ? "interval" : "process");
-    const auto before = ReadStats(*d.server);
-    std::vector<size_t> interval_samples;
-    std::vector<double> p50, p99, rate, rss;
-    LaneResult cheap, heavy;
-    double heavy_seconds = 0;
-    Probes probes;
+    Window all;
+    all.before = ReadStats(*d.server);
+    std::vector<double> rss;
     for (size_t r = 0; r < rounds; ++r) {
       TrimHeap();
       ResetPeakRss();
       Window w = RunWindow(&d, mixed, kIntervalSeconds, args.seed * 100 + r,
                            nullptr);
       rss.push_back(PeakRssMb());
-      p50.push_back(Quantile(w.cheap.latency_ms, 0.5));
-      p99.push_back(Quantile(w.cheap.latency_ms, 0.99));
-      rate.push_back(w.cheap.latency_ms.size() / w.seconds);
-      heavy_seconds += w.seconds;
       CountLane(w.cheap, report);
       CountLane(w.heavy, report);
-      cheap.Merge(w.cheap);
-      heavy.Merge(w.heavy);
-      interval_samples.push_back(w.cheap.latency_ms.size());
-      ProbeStep(args, &d, !mixed, &probes, report);
+      all.cheap.Merge(w.cheap);
+      all.heavy.Merge(w.heavy);
+      all.seconds += w.seconds;
+      ProbeStep(args, &d, probe.get(), !mixed, /*timed=*/true, &probes,
+                report);
     }
-    Window all;
-    all.cheap = std::move(cheap);
-    all.heavy = std::move(heavy);
-    all.before = before;
     all.after = ReadStats(*d.server);
-    CheckWindow(d, all, interval_samples, mixed, report);
-    report->Stamp("intervals", static_cast<double>(interval_samples.size()));
+    CheckWindow(d, all, mixed, report);
+    if (!mixed) {
+      const double parallel =
+          StatNumber(ReadStats(*d.probe), "parallel_queries");
+      report->Check("heavy_probe_fans_out", parallel > 0,
+                    "probe daemon parallel_queries " +
+                        std::to_string(parallel));
+    }
+    report->Stamp("intervals", static_cast<double>(rounds));
     report->Stamp("cheap_samples",
                   static_cast<double>(all.cheap.latency_ms.size()));
     report->Stamp("heavy_samples",
                   static_cast<double>(all.heavy.latency_ms.size()));
+    ReportRequestFigures(all, mixed, /*as_metrics=*/false, report);
     report->Metric("setup_s", Median(setups), "s");
-    // Medians over the intervals: a burst of outside load moves one
-    // interval, not the run's number.
-    report->Metric("latency_p50_ms", Median(p50), "ms");
-    report->Metric("latency_p99_ms", Median(p99), "ms");
-    // serve_mixed's cheap lane runs at a fixed rate, so its throughput is
-    // the heavy lane's: the closed loop whose pace the program sets.
-    report->Metric("throughput_per_s",
-                   mixed ? all.heavy.latency_ms.size() / heavy_seconds
-                         : Median(rate),
-                   "1/s");
     report->Metric("image_bytes_per_triple",
                    static_cast<double>(d.image_bytes) / d.triples, "B");
     report->Metric("peak_rss_mb", Median(rss), "MB");
@@ -539,37 +581,49 @@ int RunServe(const Args& args, bool mixed, Report* report) {
     return 0;
   }
 
-  // Traced: half the window untraced, half traced (a fresh stream from the
-  // same distribution, so the traced half does not find the plan cache
-  // primed with its own keys), then the layer replays.
-  Window plain = RunWindow(&d, mixed, args.seconds / 2, args.seed, nullptr);
+  // Traced: the window is cut into kTraceSlices slices, untraced and traced
+  // in the order U T T U U T T U, so drift over the run cancels out of
+  // harness.tracing_overhead (the ratio of the two kinds' median p50s).
+  // Each slice draws a fresh stream from the same distribution.
   SpanLog spans(Clock::now());
-  Window w = RunWindow(&d, mixed, args.seconds / 2, args.seed + (1u << 20),
-                       &spans);
-  CountLane(plain.cheap, report);
-  CountLane(plain.heavy, report);
-  CountLane(w.cheap, report);
-  CountLane(w.heavy, report);
-  CheckWindow(d, w, {w.cheap.latency_ms.size()}, mixed, report);
-  const double served_p50 = Quantile(w.cheap.latency_ms, 0.5);
+  Window all;
+  all.before = ReadStats(*d.server);
+  std::vector<double> plain_p50, traced_p50;
+  for (size_t s = 0; s < kTraceSlices; ++s) {
+    const bool traced = (s + 1) / 2 % 2 == 1;
+    Window w = RunWindow(&d, mixed, args.seconds / kTraceSlices,
+                         args.seed * 100 + s, traced ? &spans : nullptr);
+    (traced ? traced_p50 : plain_p50)
+        .push_back(Quantile(w.cheap.latency_ms, 0.5));
+    CountLane(w.cheap, report);
+    CountLane(w.heavy, report);
+    all.cheap.Merge(w.cheap);
+    all.heavy.Merge(w.heavy);
+    all.seconds += w.seconds;
+  }
+  all.after = ReadStats(*d.server);
+  CheckWindow(d, all, mixed, report);
   report->Metric("harness.tracing_overhead",
-                 served_p50 / Quantile(plain.cheap.latency_ms, 0.5), "ratio");
-  report->Metric("harness.send_lag_p99_ms", Quantile(w.cheap.lag_ms, 0.99),
+                 Median(traced_p50) / Median(plain_p50), "ratio");
+  ReportRequestFigures(all, mixed, /*as_metrics=*/true, report);
+  // Zero on serve_point's closed loop, which follows no schedule.
+  report->Metric("harness.send_lag_p99_ms", Quantile(all.cheap.lag_ms, 0.99),
                  "ms");
   report->Metric("query.shape_repeat_share",
-                 ShapeRepeatShare(d.pool, w.cheap.picks), "ratio");
-  ReportStatDeltas(w.before, w.after, report);
+                 ShapeRepeatShare(d.pool, all.cheap.picks), "ratio");
+  ReportStatDeltas(all.before, all.after, report);
 
-  std::vector<std::pair<size_t, uint8_t>> stream = w.cheap.picks;
+  std::vector<std::pair<size_t, uint8_t>> stream = all.cheap.picks;
   if (stream.size() > kReplayRequests) stream.resize(kReplayRequests);
   const double inproc_us = QueryLayerReplay(&d, stream, report);
-  report->Metric("server.overhead_us", served_p50 * 1e3 - inproc_us, "us");
+  report->Metric("server.overhead_us",
+                 Quantile(all.cheap.latency_ms, 0.5) * 1e3 - inproc_us, "us");
 
   std::vector<double> reload_ms, mint_ms;
-  if (std::unique_ptr<Client> c = Connect(d, &why)) {
+  if (std::unique_ptr<Client> c = Connect(*d.probe, &why)) {
     for (int r = 0; r < 5; ++r) {
       ReloadSample s;
-      if (!ReloadStep(&d, c.get(), &s, report)) break;
+      if (!ReloadStep(d, c.get(), &s, report)) break;
       reload_ms.push_back(s.reload_ms);
       mint_ms.push_back(s.mint_ms);
     }
@@ -601,9 +655,11 @@ uint32_t HeavyParallelism() {
 uint32_t CheapConnections() { return std::max(1u, Nproc() / 2); }
 
 Daemon::~Daemon() {
-  if (server != nullptr) {
-    server->Stop();
-    server->Wait();
+  for (auto* s : {&server, &probe}) {
+    if (*s != nullptr) {
+      (*s)->Stop();
+      (*s)->Wait();
+    }
   }
 }
 
@@ -699,10 +755,6 @@ bool CheckedQuery(Client* client, const std::string& text,
 
 bool HeavyPass(Daemon* d, Client* c, HeavySamples* out, Report* report) {
   std::string why;
-  if (d->heavy_expected.empty() && !d->ComputeHeavyExpected(&why)) {
-    report->Attempt(false, why);
-    return false;
-  }
   for (size_t i = 0; i < d->heavy.size(); ++i) {
     const Clock::time_point t0 = Clock::now();
     const bool ok = CheckedQuery(c, d->heavy[i], d->heavy_expected[i],
@@ -717,26 +769,6 @@ bool HeavyPass(Daemon* d, Client* c, HeavySamples* out, Report* report) {
 
 double HeavySamples::P50(size_t queries) const {
   return HeavyP50(ms, query, queries);
-}
-
-bool ReloadStep(Daemon* d, Client* c, ReloadSample* out, Report* report) {
-  std::string why;
-  const Clock::time_point t0 = Clock::now();
-  Status st = c->Reload("");
-  out->reload_ms = MillisSince(t0);
-  if (!st.ok()) {
-    report->Attempt(false, "reload: " + st.ToString());
-    return false;
-  }
-  const CheapQuery& q = d->pool[0];
-  Clock::time_point first;
-  const bool ok = CheckedQuery(c, q.text, q.expected, kWireSummary, 0, &why,
-                               &first);
-  report->Attempt(ok, why);
-  out->to_first_row_ms =
-      std::chrono::duration<double, std::milli>(first - t0).count();
-  out->mint_ms = 1e3 * MintSeconds(ReadStats(*d->server), "W");
-  return ok;
 }
 
 int RunServePoint(const Args& args, Report* report) {

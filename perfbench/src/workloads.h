@@ -3,8 +3,8 @@
 // Every run reports every end-to-end metric named in BENCHMARK.json and,
 // when traced, every per-layer metric. A workload measures its own metrics
 // in its timed window; the few that belong to another workload's path are
-// measured on this workload's image by short probes after the window
-// (README.md, "Metrics every workload reports").
+// measured on this workload's image by probes between its load intervals
+// or cycles (README.md, "End-to-end metrics").
 #ifndef RDFSUM_PERFBENCH_WORKLOADS_H_
 #define RDFSUM_PERFBENCH_WORKLOADS_H_
 
@@ -44,8 +44,12 @@ struct Daemon {
   uint64_t num_products = 0;
   std::vector<CheapQuery> pool;
   std::vector<std::string> heavy;
-  std::vector<Expected> heavy_expected;  // empty until needed
+  std::vector<Expected> heavy_expected;
   std::unique_ptr<rdfsum::server::Server> server;
+  /// Serve workloads: a second daemon on the same image, which the probes
+  /// reload and query, so that the measured daemon's plan cache and epoch
+  /// are left alone.
+  std::unique_ptr<rdfsum::server::Server> probe;
 
   ~Daemon();
   /// Reference answers for the cheap pool, in-process on the live image.
@@ -72,29 +76,18 @@ bool CheckedQuery(rdfsum::server::Client* client, const std::string& text,
                   uint32_t parallelism, std::string* why,
                   Clock::time_point* first_row = nullptr);
 
-/// Probe steps, each counting its requests into `report`.
+/// Probes run after a window, each counting its requests into `report`.
 /// Heavy-query latencies with the query each sample ran.
 struct HeavySamples {
   std::vector<double> ms;
   std::vector<size_t> query;
-  /// Mean over the heavy queries of each one's median latency (ms): their
-  /// costs differ several-fold, so a median over the mix would jump from
-  /// one query to another.
+  /// Median over complete passes of a pass's mean latency (ms); see
+  /// HeavyP50 in serve.cc.
   double P50(size_t queries) const;
 };
 /// Drains every heavy query once on `c` at the heavy lane's fan-out.
 bool HeavyPass(Daemon* d, rdfsum::server::Client* c, HeavySamples* out,
                Report* report);
-struct ReloadSample {
-  double to_first_row_ms = 0;
-  double reload_ms = 0;
-  double mint_ms = 0;
-};
-/// RELOADs the served image on `c`, then runs a summary-planned query to
-/// its first row (which re-mints the weak summary).
-bool ReloadStep(Daemon* d, rdfsum::server::Client* c, ReloadSample* out,
-                Report* report);
-
 /// Per-layer replays of the traced run.
 /// The ingest path's layers on `text` (ingest.cc): parse, dense,
 /// summaries, freeze, image open; `repeats` passes, medians reported.
