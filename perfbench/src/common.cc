@@ -200,6 +200,15 @@ void Report::Check(const std::string& name, bool ok,
   }
 }
 
+void Report::Ungated(const std::string& name, double value,
+                     const std::string& unit, bool traced) {
+  if (traced) {
+    Metric(name, value, unit);
+  } else {
+    Stamp(name, value);
+  }
+}
+
 void Report::Metric(const std::string& name, double value,
                     const std::string& unit) {
   if (!std::isfinite(value)) {

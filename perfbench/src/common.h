@@ -107,6 +107,10 @@ class Report {
   /// run incorrect.
   void Check(const std::string& name, bool ok, const std::string& detail);
   void Metric(const std::string& name, double value, const std::string& unit);
+  /// A figure the benchmark does not gate: a per-layer metric in a traced
+  /// run (`traced`), a stamp entry otherwise.
+  void Ungated(const std::string& name, double value, const std::string& unit,
+               bool traced);
   /// Counts one attempted operation, failed or not. The first few
   /// failure reasons are kept for the coverage line.
   void Attempt(bool ok, const std::string& why = "");

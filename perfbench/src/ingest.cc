@@ -277,17 +277,9 @@ std::vector<double> Collect(const std::vector<Cycle>& cycles, F f) {
 }
 
 /// The cycle latencies and ingest throughput. They are not gated
-/// (README.md, "End-to-end metrics"): an untraced run stamps them, a
-/// traced one reports them as per-layer metrics.
-void ReportCycleFigures(const std::vector<Cycle>& cycles, bool as_metrics,
+/// (README.md, "End-to-end metrics").
+void ReportCycleFigures(const std::vector<Cycle>& cycles, bool traced,
                         Report* report) {
-  auto put = [&](const char* name, double value, const char* unit) {
-    if (as_metrics) {
-      report->Metric(name, value, unit);
-    } else {
-      report->Stamp(name, value);
-    }
-  };
   const std::vector<double> cycle_ms =
       Collect(cycles, [](const Cycle& c) { return c.cycle_ms; });
   double triples = 0, busy_ms = 0;
@@ -295,9 +287,10 @@ void ReportCycleFigures(const std::vector<Cycle>& cycles, bool as_metrics,
     triples += static_cast<double>(c.pass.triples);
     busy_ms += c.cycle_ms;
   }
-  put("latency_p50_ms", Quantile(cycle_ms, 0.5), "ms");
-  put("latency_p99_ms", Quantile(cycle_ms, 0.99), "ms");
-  put("throughput_per_s", triples / (busy_ms / 1e3), "1/s");
+  report->Ungated("latency_p50_ms", Quantile(cycle_ms, 0.5), "ms", traced);
+  report->Ungated("latency_p99_ms", Quantile(cycle_ms, 0.99), "ms", traced);
+  report->Ungated("throughput_per_s", triples / (busy_ms / 1e3), "1/s",
+                  traced);
 }
 
 const char* KindName(size_t k) {
@@ -398,7 +391,7 @@ int RunIngest(const Args& args, Report* report) {
     report->Stamp("cycles", static_cast<double>(cycles.size()));
     report->Check("many_cycles", cycles.size() >= 20,
                   std::to_string(cycles.size()) + " cycles");
-    ReportCycleFigures(cycles, /*as_metrics=*/false, report);
+    ReportCycleFigures(cycles, /*traced=*/false, report);
     report->Metric("setup_s", Median(setups), "s");
     report->Metric("reload_to_first_row_ms",
                    Median(Collect(cycles,
@@ -445,7 +438,7 @@ int RunIngest(const Args& args, Report* report) {
                  "ratio");
   std::vector<Cycle> cycles = run.plain;
   cycles.insert(cycles.end(), traced.begin(), traced.end());
-  ReportCycleFigures(cycles, /*as_metrics=*/true, report);
+  ReportCycleFigures(cycles, /*traced=*/true, report);
   // Cycles run back to back and follow no schedule, so nothing is late.
   report->Metric("harness.send_lag_p99_ms", 0.0, "ms");
   std::vector<Pass> passes;

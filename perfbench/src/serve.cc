@@ -413,23 +413,18 @@ void StampServe(const Daemon& d, bool mixed, Report* report) {
 }
 
 /// The request latencies and throughput, over all of the run's requests.
-/// They are not gated (README.md, "End-to-end metrics"): an untraced run
-/// stamps them, a traced one reports them as per-layer metrics.
-void ReportRequestFigures(const Window& all, bool mixed, bool as_metrics,
+/// They are not gated (README.md, "End-to-end metrics").
+void ReportRequestFigures(const Window& all, bool mixed, bool traced,
                           Report* report) {
-  auto put = [&](const char* name, double value, const char* unit) {
-    if (as_metrics) {
-      report->Metric(name, value, unit);
-    } else {
-      report->Stamp(name, value);
-    }
-  };
-  put("latency_p50_ms", Quantile(all.cheap.latency_ms, 0.5), "ms");
-  put("latency_p99_ms", Quantile(all.cheap.latency_ms, 0.99), "ms");
+  const std::vector<double>& ms = all.cheap.latency_ms;
+  report->Ungated("latency_p50_ms", Quantile(ms, 0.5), "ms", traced);
+  report->Ungated("latency_p99_ms", Quantile(ms, 0.99), "ms", traced);
   // serve_mixed's cheap lane runs at a fixed rate, so its throughput is the
   // heavy lane's: the closed loop whose pace the program sets.
-  put("throughput_per_s",
-      (mixed ? all.heavy : all.cheap).latency_ms.size() / all.seconds, "1/s");
+  report->Ungated(
+      "throughput_per_s",
+      (mixed ? all.heavy : all.cheap).latency_ms.size() / all.seconds, "1/s",
+      traced);
 }
 
 /// The end-to-end metrics of another workload's path, measured on this
@@ -565,7 +560,7 @@ int RunServe(const Args& args, bool mixed, Report* report) {
                   static_cast<double>(all.cheap.latency_ms.size()));
     report->Stamp("heavy_samples",
                   static_cast<double>(all.heavy.latency_ms.size()));
-    ReportRequestFigures(all, mixed, /*as_metrics=*/false, report);
+    ReportRequestFigures(all, mixed, /*traced=*/false, report);
     report->Metric("setup_s", Median(setups), "s");
     report->Metric("image_bytes_per_triple",
                    static_cast<double>(d.image_bytes) / d.triples, "B");
@@ -605,7 +600,7 @@ int RunServe(const Args& args, bool mixed, Report* report) {
   CheckWindow(d, all, mixed, report);
   report->Metric("harness.tracing_overhead",
                  Median(traced_p50) / Median(plain_p50), "ratio");
-  ReportRequestFigures(all, mixed, /*as_metrics=*/true, report);
+  ReportRequestFigures(all, mixed, /*traced=*/true, report);
   // Zero on serve_point's closed loop, which follows no schedule.
   report->Metric("harness.send_lag_p99_ms", Quantile(all.cheap.lag_ms, 0.99),
                  "ms");
