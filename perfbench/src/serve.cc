@@ -438,15 +438,15 @@ struct Probes {
   HeavySamples heavy;
 };
 
-/// RELOADs the probe daemon onto the served image, then runs a
-/// summary-planned query to its first row (which re-mints the weak
-/// summary).
 struct ReloadSample {
   double to_first_row_ms = 0;
   double reload_ms = 0;
   double mint_ms = 0;
 };
 
+/// RELOADs the probe daemon onto the served image, then runs a
+/// summary-planned query to its first row (which re-mints the weak
+/// summary).
 bool ReloadStep(const Daemon& d, Client* c, ReloadSample* out,
                 Report* report) {
   std::string why;
