@@ -28,6 +28,10 @@ inline constexpr uint8_t kWireSummary = 2;
 /// Thread count of the ingest parse and of every layer-replay parse.
 inline constexpr uint32_t kParseThreads = 2;
 
+/// Triples in the ingest workload's N-Triples text; the serve workloads'
+/// summarize probe summarizes a graph of this size.
+uint64_t IngestTriples(const Args& args);
+
 /// Heavy-lane fan-out: what keeps busy threads within nproc next to the
 /// cheap connections.
 uint32_t HeavyParallelism();
