@@ -197,6 +197,7 @@ class IndexNestedLoopJoinCursor final : public Cursor {
     out->push_back({depth, Describe(), rows_produced()});
     input_->CollectOperators(out, depth + 1);
   }
+  const Cursor& input() const { return *input_; }
 
  private:
   std::unique_ptr<Cursor> input_;
@@ -206,206 +207,6 @@ class IndexNestedLoopJoinCursor final : public Cursor {
   IdRow current_;
   store::ScanCursor scan_;
   bool inner_open_ = false;
-  ExecPoll poll_;
-};
-
-/// Hash join with graceful degradation: Build() charges the ExecContext
-/// memory budget per build-side triple and, if the charge is ever refused
-/// (or a "query:hashjoin-build" failpoint injects kResourceExhausted),
-/// releases everything it charged, drops the partial hash table, and serves
-/// the remaining probes as an index nested-loop join instead. The degraded
-/// stream is byte-identical to the one MakeIndexNestedLoopJoinCursor would
-/// have produced — slower, never wrong, never over budget.
-class HashJoinCursor final : public Cursor {
- public:
-  HashJoinCursor(std::unique_ptr<Cursor> input,
-                 const store::TripleTable& table, const CompiledPattern& pat,
-                 std::vector<uint32_t> key_vars, std::string label,
-                 util::ExecContext* exec)
-      : input_(std::move(input)),
-        table_(table),
-        pat_(pat),
-        key_vars_(std::move(key_vars)),
-        label_(std::move(label)),
-        exec_(exec),
-        keys_(key_vars_.size()),
-        key_buf_(key_vars_.size()) {
-    poll_.ctx = exec;
-    assert(!key_vars_.empty() && "hash join needs at least one join variable");
-    // First position of each key variable in the pattern, for extracting
-    // key values from build-side triples.
-    key_slot_.reserve(key_vars_.size());
-    for (uint32_t v : key_vars_) {
-      int slot = -1;
-      const CompiledSlot* slots[3] = {&pat_.s, &pat_.p, &pat_.o};
-      for (int i = 0; i < 3; ++i) {
-        if (slots[i]->is_var && slots[i]->var == v) {
-          slot = i;
-          break;
-        }
-      }
-      assert(slot >= 0 && "key variable does not occur in the pattern");
-      key_slot_.push_back(slot);
-    }
-  }
-
-  ~HashJoinCursor() override {
-    if (exec_ != nullptr && charged_bytes_ > 0) {
-      exec_->ReleaseMemory(charged_bytes_);
-    }
-  }
-
-  bool Next(IdRow* row) override {
-    if (!status_.ok()) return false;
-    if (!built_) {
-      Build();
-      if (!status_.ok()) return false;
-    }
-    if (degraded_) return NextDegraded(row);
-    for (;;) {
-      while (chain_ != kEnd) {
-        if (poll_.Expired(&status_)) return false;
-        const Triple& t = build_triples_[chain_];
-        chain_ = next_[chain_];
-        *row = current_;
-        if (BindTriple(pat_, t, row)) {
-          ++rows_produced_;
-          return true;
-        }
-      }
-      if (!input_->Next(&current_)) {
-        status_ = input_->status();
-        return false;
-      }
-      for (size_t i = 0; i < key_vars_.size(); ++i) {
-        key_buf_[i] = current_[key_vars_[i]];
-      }
-      uint32_t ord = keys_.Find(key_buf_.data());
-      chain_ = ord == util::RowSet::kNotFound ? kEnd : heads_[ord];
-    }
-  }
-  size_t width() const override { return input_->width(); }
-  std::string Describe() const override {
-    return degraded_ ? "HashJoin[" + label_ + " degraded=nlj]"
-                     : "HashJoin[" + label_ + "]";
-  }
-  void CollectOperators(std::vector<OperatorStats>* out,
-                        int depth) const override {
-    out->push_back({depth, Describe(), rows_produced()});
-    input_->CollectOperators(out, depth + 1);
-  }
-
- private:
-  static constexpr uint32_t kEnd = UINT32_MAX;
-
-  void Build() {
-    built_ = true;
-    Status fp = RDFSUM_FAILPOINT_STATUS("query:hashjoin-build");
-    if (fp.IsResourceExhausted()) {
-      Degrade();
-      return;
-    }
-    if (!fp.ok()) {
-      status_ = std::move(fp);
-      return;
-    }
-    bool fits = true;
-    table_.Scan(ConstOnly(pat_), [&](const Triple& t) {
-      if (poll_.Expired(&status_)) return false;
-      if (exec_ != nullptr &&
-          !exec_->TryChargeMemory(kHashJoinBuildBytesPerRow)) {
-        fits = false;
-        return false;
-      }
-      charged_bytes_ += kHashJoinBuildBytesPerRow;
-      const TermId values[3] = {t.s, t.p, t.o};
-      for (size_t i = 0; i < key_slot_.size(); ++i) {
-        key_buf_[i] = values[key_slot_[i]];
-      }
-      auto [ord, inserted] = keys_.InsertOrFind(key_buf_.data());
-      if (inserted) {
-        heads_.push_back(kEnd);
-        tails_.push_back(kEnd);
-      }
-      const uint32_t idx = static_cast<uint32_t>(build_triples_.size());
-      build_triples_.push_back(t);
-      next_.push_back(kEnd);
-      // Append to the chain tail so probes replay matches in build (index)
-      // order — the stream stays deterministic run to run.
-      if (heads_[ord] == kEnd) {
-        heads_[ord] = idx;
-      } else {
-        next_[tails_[ord]] = idx;
-      }
-      tails_[ord] = idx;
-      return true;
-    });
-    if (!status_.ok()) return;
-    if (!fits) Degrade();
-  }
-
-  /// Abandons the (possibly partial) hash table: refunds every byte charged
-  /// and frees the build state, then flips to nested-loop probing.
-  void Degrade() {
-    degraded_ = true;
-    if (exec_ != nullptr && charged_bytes_ > 0) {
-      exec_->ReleaseMemory(charged_bytes_);
-    }
-    charged_bytes_ = 0;
-    keys_ = util::RowSet(key_vars_.size());
-    heads_ = {};
-    tails_ = {};
-    build_triples_ = {};
-    next_ = {};
-  }
-
-  /// Probe path after degradation: per input row, one index range over the
-  /// fully instantiated pattern — exactly what IndexNestedLoopJoinCursor
-  /// does, so the output stream is identical.
-  bool NextDegraded(IdRow* row) {
-    for (;;) {
-      if (inner_open_) {
-        Triple t;
-        while (scan_.Next(&t)) {
-          if (poll_.Expired(&status_)) return false;
-          *row = current_;
-          if (BindTriple(pat_, t, row)) {
-            ++rows_produced_;
-            return true;
-          }
-        }
-        inner_open_ = false;
-      }
-      if (!input_->Next(&current_)) {
-        status_ = input_->status();
-        return false;
-      }
-      scan_ = table_.OpenScan(Instantiate(pat_, current_));
-      inner_open_ = true;
-    }
-  }
-
-  std::unique_ptr<Cursor> input_;
-  const store::TripleTable& table_;
-  CompiledPattern pat_;
-  std::vector<uint32_t> key_vars_;
-  std::string label_;
-  util::ExecContext* exec_;
-  std::vector<int> key_slot_;  // position (0=s,1=p,2=o) per key var
-
-  bool built_ = false;
-  bool degraded_ = false;
-  uint64_t charged_bytes_ = 0;  // outstanding ExecContext memory charge
-  util::RowSet keys_;                  // distinct key directory -> ordinal
-  std::vector<uint32_t> heads_, tails_;  // per key ordinal: chain bounds
-  std::vector<Triple> build_triples_;
-  std::vector<uint32_t> next_;         // chain links, parallel to triples
-
-  IdRow current_;
-  IdRow key_buf_;
-  uint32_t chain_ = kEnd;
-  store::ScanCursor scan_;   // degraded-mode inner range
-  bool inner_open_ = false;  // degraded-mode inner range open
   ExecPoll poll_;
 };
 
@@ -554,29 +355,32 @@ class GovernedCursor final : public Cursor {
 
 }  // namespace
 
-// ---- Shared hash-join build (parallel queries) ------------------------------
+// ---- Hash join --------------------------------------------------------------
 
-/// One build side, partitioned by key hash so partitions build in parallel
-/// without sharing mutable state. Each key's triples all land in the same
-/// partition (partition = hash(key) % P), and each partition walks the
-/// build range in index order, so within-key chain order is index order —
-/// exactly the sequential HashJoinCursor's invariant, which is what keeps
-/// probe output byte-identical. After EnsureBuilt() the structure is
-/// immutable and probed concurrently, read-only.
-class SharedHashJoinBuild {
+/// The build side of every hash join, partitioned by key hash so partitions
+/// build in parallel without sharing mutable state. Each key's triples all
+/// land in the same partition (partition = hash(key) % P), and each
+/// partition walks the build range in index order, so within-key chain
+/// order is index order at every partition count — which is what keeps the
+/// probe stream byte-identical. A sequential query builds one partition,
+/// lazily, on its probe's first pull; a parallel query's gather builds
+/// before fan-out. After EnsureBuilt() the structure is immutable and
+/// probed concurrently, read-only.
+class HashJoinBuild {
  public:
   static constexpr uint32_t kEnd = UINT32_MAX;
 
-  SharedHashJoinBuild(const store::TripleTable& table,
-                      const CompiledPattern& pat,
-                      std::vector<uint32_t> key_vars, util::ExecContext* exec,
-                      uint32_t parallelism)
+  HashJoinBuild(const store::TripleTable& table, const CompiledPattern& pat,
+                std::vector<uint32_t> key_vars, util::ExecContext* exec,
+                uint32_t parallelism)
       : table_(table),
         pat_(pat),
         key_vars_(std::move(key_vars)),
         exec_(exec),
         parallelism_(std::max(1u, parallelism)) {
     assert(!key_vars_.empty() && "hash join needs at least one join variable");
+    // First position of each key variable in the pattern, for extracting
+    // key values from build-side triples.
     key_slot_.reserve(key_vars_.size());
     for (uint32_t v : key_vars_) {
       int slot = -1;
@@ -592,15 +396,16 @@ class SharedHashJoinBuild {
     }
   }
 
-  ~SharedHashJoinBuild() { ReleaseAll(); }
+  ~HashJoinBuild() { ReleaseAll(); }
 
-  SharedHashJoinBuild(const SharedHashJoinBuild&) = delete;
-  SharedHashJoinBuild& operator=(const SharedHashJoinBuild&) = delete;
+  HashJoinBuild(const HashJoinBuild&) = delete;
+  HashJoinBuild& operator=(const HashJoinBuild&) = delete;
 
-  /// Builds the partitioned hash table (idempotent; call before fan-out,
-  /// never concurrently). OK after a successful build *or* a memory-refusal
-  /// degrade (probes then run nested-loop); non-OK only for governance
-  /// failures (deadline/cancel) and injected faults, which fail the query.
+  /// Builds the partitioned hash table (idempotent; never called
+  /// concurrently with the first build). OK after a successful build *or* a
+  /// memory-refusal degrade (probes then run nested-loop); non-OK only for
+  /// governance failures (deadline/cancel) and injected faults, which fail
+  /// the query.
   Status EnsureBuilt() {
     if (built_) return build_status_;
     built_ = true;
@@ -617,8 +422,8 @@ class SharedHashJoinBuild {
     // Each partition pass re-scans the whole build span, so the passes only
     // pay off when they actually run concurrently: clamp the partition
     // count to the machine, not the (possibly oversubscribed) requested
-    // parallelism — on a 1-core host one partition builds in one pass,
-    // exactly like the sequential lazy build.
+    // parallelism — a sequential query or a 1-core host builds one
+    // partition in one pass.
     const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
     const uint32_t nparts =
         std::max(1u, std::min({parallelism_, hw, 8u,
@@ -633,11 +438,13 @@ class SharedHashJoinBuild {
     // Every partition scans the whole (cheap, contiguous) build range and
     // keeps only its own keys' triples: no cross-partition communication,
     // and per-partition insertion order is index order by construction.
+    // One partition runs inline on the caller (ParallelFor(1)).
     util::ParallelFor(nparts, [&](uint32_t p) {
       Partition& part = parts_[p];
       IdRow key_buf(key_vars_.size());
       const uint64_t n = build.size();
-      for (uint64_t base = 0; base < n; base += util::kCancelCheckChunk) {
+      constexpr uint64_t kPoll = util::ExecContext::kCheckInterval;
+      for (uint64_t base = 0; base < n; base += kPoll) {
         if (stop.load(std::memory_order_relaxed)) return;
         if (exec_ != nullptr) {
           Status st = exec_->Check();
@@ -648,7 +455,7 @@ class SharedHashJoinBuild {
             return;
           }
         }
-        const uint64_t chunk_end = std::min(n, base + util::kCancelCheckChunk);
+        const uint64_t chunk_end = std::min(n, base + kPoll);
         for (uint64_t i = base; i < chunk_end; ++i) {
           const Triple& t = build[i];
           const TermId values[3] = {t.s, t.p, t.o};
@@ -674,6 +481,8 @@ class SharedHashJoinBuild {
           const uint32_t idx = static_cast<uint32_t>(part.triples.size());
           part.triples.push_back(t);
           part.next.push_back(kEnd);
+          // Append to the chain tail so probes replay matches in build
+          // (index) order — the stream stays deterministic run to run.
           if (part.heads[ord] == kEnd) {
             part.heads[ord] = idx;
           } else {
@@ -703,27 +512,10 @@ class SharedHashJoinBuild {
     uint32_t idx = kEnd;
   };
 
-  /// Raw pointers into the single partition, when there is only one
-  /// (single-CPU hosts, tiny builds). Probing through these skips the
-  /// partition routing hash and the per-access parts_[] indirection — the
-  /// loop becomes instruction-for-instruction the sequential HashJoinCursor
-  /// probe. Pointers are stable: the structure is immutable after
-  /// EnsureBuilt(), which always precedes probing.
-  struct FlatView {
-    const util::RowSet* keys;
-    const uint32_t* heads;
-    const Triple* triples;
-    const uint32_t* next;
-  };
-  std::optional<FlatView> flat_view() const {
-    if (degraded_ || parts_.size() != 1) return std::nullopt;
-    const Partition& p = parts_[0];
-    return FlatView{&p.keys, p.heads.data(), p.triples.data(), p.next.data()};
-  }
-
   ChainPos Find(const TermId* key) const {
-    // One partition (single-CPU hosts, tiny builds): the routing hash can
-    // only ever say 0, so skip it — RowSet::Find hashes the key anyway.
+    // One partition (sequential queries, 1-core hosts, tiny builds): the
+    // routing hash can only ever say 0, so skip it — RowSet::Find hashes
+    // the key anyway.
     const uint32_t p =
         parts_.size() == 1
             ? 0u
@@ -756,6 +548,8 @@ class SharedHashJoinBuild {
     return h;
   }
 
+  /// Abandons the (possibly partial) hash table: refunds every byte charged
+  /// and frees the build state; probes then run nested-loop.
   void Degrade() {
     degraded_ = true;
     ReleaseAll();
@@ -787,19 +581,22 @@ class SharedHashJoinBuild {
 
 namespace {
 
-/// Probe side of a shared build: the sequential HashJoinCursor's probe loop
-/// against the (immutable, concurrently shared) partitioned build, with the
-/// identical degraded path when the build was refused memory.
-class SharedHashJoinProbeCursor final : public Cursor {
+/// Probe side of a hash join: per input row, walks the chain of the row's
+/// key in the build. The first pull EnsureBuilt()s the build (a no-op when
+/// a gather already built it before fan-out). A build refused memory hands
+/// the input to an index nested-loop join over the same pattern — the same
+/// stream, slower, never over budget.
+class HashJoinProbeCursor final : public Cursor {
  public:
-  SharedHashJoinProbeCursor(std::unique_ptr<Cursor> input,
-                            const store::TripleTable& table,
-                            std::shared_ptr<const SharedHashJoinBuild> build,
-                            std::string label, util::ExecContext* exec)
+  HashJoinProbeCursor(std::unique_ptr<Cursor> input,
+                      const store::TripleTable& table,
+                      std::shared_ptr<HashJoinBuild> build, std::string label,
+                      util::ExecContext* exec)
       : input_(std::move(input)),
         table_(table),
         build_(std::move(build)),
         label_(std::move(label)),
+        exec_(exec),
         key_vars_(build_->key_vars()),
         key_buf_(key_vars_.size()) {
     poll_.ctx = exec;
@@ -807,28 +604,25 @@ class SharedHashJoinProbeCursor final : public Cursor {
 
   bool Next(IdRow* row) override {
     if (!status_.ok()) return false;
-    if (mode_ == Mode::kFlat) return NextFlat(row);
-    if (mode_ == Mode::kUndecided) {
-      // Pipelines only run after EnsureBuilt(), so the partition layout is
-      // final here. Classify once; every later Next() reaches its loop
-      // through a single predictable branch.
+    if (!started_) {
+      started_ = true;
+      status_ = build_->EnsureBuilt();
+      if (!status_.ok()) return false;
       if (build_->degraded()) {
-        mode_ = Mode::kDegraded;
-      } else if (auto v = build_->flat_view(); v.has_value()) {
-        // Hoist the single partition and the pattern into members: the
-        // probe loop then touches no shared_ptr and no std::optional —
-        // instruction-for-instruction the sequential HashJoinCursor probe.
-        flat_ = *v;
-        pat_ = build_->pattern();
-        mode_ = Mode::kFlat;
-        return NextFlat(row);
-      } else {
-        mode_ = Mode::kGeneric;
+        nlj_ = std::make_unique<IndexNestedLoopJoinCursor>(
+            std::move(input_), table_, build_->pattern(), label_, exec_);
       }
     }
-    if (mode_ == Mode::kDegraded) return NextDegraded(row);
+    if (nlj_ != nullptr) {
+      if (!nlj_->Next(row)) {
+        status_ = nlj_->status();
+        return false;
+      }
+      ++rows_produced_;
+      return true;
+    }
     for (;;) {
-      while (pos_.idx != SharedHashJoinBuild::kEnd) {
+      while (pos_.idx != HashJoinBuild::kEnd) {
         if (poll_.Expired(&status_)) return false;
         const Triple& t = build_->TripleAt(pos_);
         pos_.idx = build_->NextAt(pos_);
@@ -848,87 +642,33 @@ class SharedHashJoinProbeCursor final : public Cursor {
       pos_ = build_->Find(key_buf_.data());
     }
   }
-  size_t width() const override { return input_->width(); }
+  size_t width() const override { return input().width(); }
   std::string Describe() const override {
-    return build_->degraded() ? "HashJoin[" + label_ + " degraded=nlj shared]"
-                              : "HashJoin[" + label_ + " shared]";
+    return build_->degraded() ? "HashJoin[" + label_ + " degraded=nlj]"
+                              : "HashJoin[" + label_ + "]";
   }
   void CollectOperators(std::vector<OperatorStats>* out,
                         int depth) const override {
     out->push_back({depth, Describe(), rows_produced()});
-    input_->CollectOperators(out, depth + 1);
+    input().CollectOperators(out, depth + 1);
   }
 
  private:
-  /// Single-partition probe loop over FlatView's raw pointers — the same
-  /// stream as the generic loop, minus the routing hash and parts_[]
-  /// indirection (~50ns/row, which is the whole shared-vs-sequential probe
-  /// gap on a 1-core host).
-  bool NextFlat(IdRow* row) {
-    const SharedHashJoinBuild::FlatView& f = flat_;
-    const CompiledPattern& pat = pat_;
-    for (;;) {
-      while (pos_.idx != SharedHashJoinBuild::kEnd) {
-        if (poll_.Expired(&status_)) return false;
-        const Triple& t = f.triples[pos_.idx];
-        pos_.idx = f.next[pos_.idx];
-        *row = current_;
-        if (BindTriple(pat, t, row)) {
-          ++rows_produced_;
-          return true;
-        }
-      }
-      if (!input_->Next(&current_)) {
-        status_ = input_->status();
-        return false;
-      }
-      for (size_t i = 0; i < key_vars_.size(); ++i) {
-        key_buf_[i] = current_[key_vars_[i]];
-      }
-      const uint32_t ord = f.keys->Find(key_buf_.data());
-      pos_.idx =
-          ord == util::RowSet::kNotFound ? SharedHashJoinBuild::kEnd
-                                         : f.heads[ord];
-    }
+  const Cursor& input() const {
+    return nlj_ != nullptr ? nlj_->input() : *input_;
   }
 
-  bool NextDegraded(IdRow* row) {
-    for (;;) {
-      if (inner_open_) {
-        Triple t;
-        while (scan_.Next(&t)) {
-          if (poll_.Expired(&status_)) return false;
-          *row = current_;
-          if (BindTriple(build_->pattern(), t, row)) {
-            ++rows_produced_;
-            return true;
-          }
-        }
-        inner_open_ = false;
-      }
-      if (!input_->Next(&current_)) {
-        status_ = input_->status();
-        return false;
-      }
-      scan_ = table_.OpenScan(Instantiate(build_->pattern(), current_));
-      inner_open_ = true;
-    }
-  }
-
-  std::unique_ptr<Cursor> input_;
+  std::unique_ptr<Cursor> input_;  // moved into nlj_ on degrade
   const store::TripleTable& table_;
-  std::shared_ptr<const SharedHashJoinBuild> build_;
+  std::shared_ptr<HashJoinBuild> build_;
   std::string label_;
-  IdRow current_;
+  util::ExecContext* exec_;
   std::vector<uint32_t> key_vars_;  // copied out of the build: hot-loop local
+  bool started_ = false;
+  std::unique_ptr<IndexNestedLoopJoinCursor> nlj_;  // set on degrade
+  IdRow current_;
   IdRow key_buf_;
-  SharedHashJoinBuild::ChainPos pos_;
-  enum class Mode : uint8_t { kUndecided, kFlat, kGeneric, kDegraded };
-  Mode mode_ = Mode::kUndecided;
-  SharedHashJoinBuild::FlatView flat_{};  // valid in kFlat mode
-  CompiledPattern pat_{};  // copy of the build pattern (kFlat mode)
-  store::ScanCursor scan_;   // degraded-mode inner range
-  bool inner_open_ = false;  // degraded-mode inner range open
+  HashJoinBuild::ChainPos pos_;
   ExecPoll poll_;
 };
 
@@ -964,17 +704,6 @@ class ParallelGatherCursor final : public Cursor {
     window_ = std::max<uint64_t>(uint64_t{4} * spec_.num_threads, 8);
     target_workers_ = static_cast<uint32_t>(
         std::min<uint64_t>(spec_.num_threads, num_morsels_));
-    // A single-CPU host gains nothing from pool workers: the consumer and
-    // a worker would only preempt each other (measured ~10-15% wall on the
-    // query bench), so stream every morsel inline on the consumer instead
-    // (NextInline). Morsel boundaries and the output bytes are completely
-    // unchanged — only the exchange machinery is bypassed. Tests pin the
-    // mode either way so both paths run regardless of the host.
-    const bool inline_only =
-        spec_.worker_mode == ParallelWorkerMode::kForceInline ||
-        (spec_.worker_mode == ParallelWorkerMode::kAuto &&
-         std::thread::hardware_concurrency() <= 1);
-    if (inline_only) target_workers_ = 0;
     slots_.resize(num_morsels_);
   }
 
@@ -997,7 +726,7 @@ class ParallelGatherCursor final : public Cursor {
           return false;
         }
       }
-      if (num_morsels_ > 0 && target_workers_ > 0) {
+      if (num_morsels_ > 0) {
         group_ = std::make_unique<util::TaskGroup>(util::ThreadPool::Shared());
         std::unique_lock<std::mutex> lock(mu_);
         const uint32_t spawn = SpawnBudgetLocked();
@@ -1005,7 +734,6 @@ class ParallelGatherCursor final : public Cursor {
         Spawn(spawn);
       }
     }
-    if (target_workers_ == 0) return NextInline(row);
     for (;;) {
       if (cur_emitted_ < cur_count_) {
         const auto base = cur_rows_.begin() +
@@ -1186,38 +914,6 @@ class ParallelGatherCursor final : public Cursor {
     }
   }
 
-  /// Zero-worker mode (single-CPU hosts): stream each morsel's pipeline
-  /// straight to the caller, in morsel order, with no exchange buffer —
-  /// the concatenation of per-morsel streams IS the sequential stream, so
-  /// skipping the materialize-and-recopy round trip (~300ns/row, the whole
-  /// exchange overhead when nothing runs concurrently) changes no bytes.
-  /// The per-morsel failpoint fires exactly as in ExecuteMorsel, and the
-  /// pipeline's own ExecPoll still observes cancellation mid-morsel.
-  bool NextInline(IdRow* row) {
-    for (;;) {
-      if (inline_pipeline_ != nullptr) {
-        if (inline_pipeline_->Next(row)) {
-          ++rows_produced_;
-          return true;
-        }
-        status_ = inline_pipeline_->status();
-        if (!status_.ok()) return false;
-        inline_pipeline_.reset();
-      }
-      if (inline_next_ >= num_morsels_) return false;
-      const uint64_t m = inline_next_++;
-      Status fp = RDFSUM_FAILPOINT_STATUS("query:morsel");
-      if (!fp.ok()) {
-        status_ = std::move(fp);
-        return false;
-      }
-      const size_t begin = static_cast<size_t>(m * spec_.morsel_rows);
-      const size_t end = static_cast<size_t>(
-          std::min<uint64_t>(spec_.total_rows, (m + 1) * spec_.morsel_rows));
-      inline_pipeline_ = spec_.pipeline(begin, end);
-    }
-  }
-
   ParallelGatherSpec spec_;
   uint64_t num_morsels_ = 0;
   uint64_t window_ = 0;
@@ -1235,10 +931,6 @@ class ParallelGatherCursor final : public Cursor {
   std::vector<MorselSlot> slots_;
   std::vector<std::vector<TermId>> spare_buffers_;  // recycled (under mu_)
   Status first_error_;  // first failure recorded, any morsel (under mu_)
-
-  // Zero-worker streaming state (no locking: single consumer).
-  std::unique_ptr<Cursor> inline_pipeline_;
-  uint64_t inline_next_ = 0;
 
   // Consumer-side state (no locking: single consumer).
   uint64_t next_emit_ = 0;
@@ -1279,19 +971,19 @@ std::unique_ptr<Cursor> MakeIndexScanSliceCursor(
                                            end_offset, std::move(label), exec);
 }
 
-std::shared_ptr<SharedHashJoinBuild> MakeSharedHashJoinBuild(
+std::shared_ptr<HashJoinBuild> MakeHashJoinBuild(
     const store::TripleTable& table, const CompiledPattern& pat,
     std::vector<uint32_t> key_vars, util::ExecContext* exec,
     uint32_t parallelism) {
-  return std::make_shared<SharedHashJoinBuild>(table, pat, std::move(key_vars),
-                                               exec, parallelism);
+  return std::make_shared<HashJoinBuild>(table, pat, std::move(key_vars), exec,
+                                         parallelism);
 }
 
-std::unique_ptr<Cursor> MakeSharedHashJoinProbeCursor(
+std::unique_ptr<Cursor> MakeHashJoinProbeCursor(
     std::unique_ptr<Cursor> input, const store::TripleTable& table,
-    std::shared_ptr<const SharedHashJoinBuild> build, std::string label,
+    std::shared_ptr<HashJoinBuild> build, std::string label,
     util::ExecContext* exec) {
-  return std::make_unique<SharedHashJoinProbeCursor>(
+  return std::make_unique<HashJoinProbeCursor>(
       std::move(input), table, std::move(build), std::move(label), exec);
 }
 
@@ -1304,17 +996,6 @@ std::unique_ptr<Cursor> MakeIndexNestedLoopJoinCursor(
     const CompiledPattern& pat, std::string label, util::ExecContext* exec) {
   return std::make_unique<IndexNestedLoopJoinCursor>(
       std::move(input), table, pat, std::move(label), exec);
-}
-
-std::unique_ptr<Cursor> MakeHashJoinCursor(std::unique_ptr<Cursor> input,
-                                           const store::TripleTable& table,
-                                           const CompiledPattern& pat,
-                                           std::vector<uint32_t> key_vars,
-                                           std::string label,
-                                           util::ExecContext* exec) {
-  return std::make_unique<HashJoinCursor>(std::move(input), table, pat,
-                                          std::move(key_vars),
-                                          std::move(label), exec);
 }
 
 std::unique_ptr<Cursor> MakeGovernedCursor(std::unique_ptr<Cursor> input,

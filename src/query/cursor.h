@@ -86,7 +86,7 @@ class Cursor {
 /// triple (12), its chain link (4), and its amortized share of the key
 /// directory and chain-head arrays. The executor multiplies this by the
 /// plan's exact build-side count to decide whether a hash join fits the
-/// ExecContext memory budget; HashJoinCursor charges the same rate while
+/// ExecContext memory budget; HashJoinBuild charges the same rate while
 /// actually building.
 inline constexpr uint64_t kHashJoinBuildBytesPerRow = 48;
 
@@ -117,21 +117,34 @@ std::unique_ptr<Cursor> MakeIndexNestedLoopJoinCursor(
     const CompiledPattern& pat, std::string label = "",
     util::ExecContext* exec = nullptr);
 
-/// Hash join: on first pull, builds a hash table over every triple matching
+/// The build side of a hash join: a hash table over every triple matching
 /// `pat`'s constants, keyed on the values at `key_vars`' positions
-/// (variables of `pat` the input already binds; must be non-empty). Each
-/// input row then probes in O(1) instead of binary-searching the index.
-/// Chains preserve build (index) order, so the output is deterministic.
-/// With an ExecContext, the build side charges kHashJoinBuildBytesPerRow
-/// per triple against the memory budget; if the charge is refused the
-/// cursor degrades to an index nested-loop join (Describe reports
-/// "degraded=nlj") instead of failing the query.
-std::unique_ptr<Cursor> MakeHashJoinCursor(std::unique_ptr<Cursor> input,
-                                           const store::TripleTable& table,
-                                           const CompiledPattern& pat,
-                                           std::vector<uint32_t> key_vars,
-                                           std::string label = "",
-                                           util::ExecContext* exec = nullptr);
+/// (variables of `pat` the input already binds; must be non-empty), so each
+/// input row probes in O(1) instead of binary-searching the index. The
+/// table is partitioned by key hash: up to `parallelism` partitions (capped
+/// by the core count) build concurrently, each inserting its keys' triples
+/// in index order, so probe chains replay matches in index order at every
+/// partition count and the output is deterministic. A sequential query
+/// builds one partition. With an ExecContext, the build charges
+/// kHashJoinBuildBytesPerRow per triple against the memory budget and polls
+/// governance every ExecContext::kCheckInterval triples; a refused charge
+/// abandons the build (full refund) and every probe falls back to index
+/// nested-loop probing, byte-identical (Describe reports "degraded=nlj").
+class HashJoinBuild;
+
+std::shared_ptr<HashJoinBuild> MakeHashJoinBuild(
+    const store::TripleTable& table, const CompiledPattern& pat,
+    std::vector<uint32_t> key_vars, util::ExecContext* exec,
+    uint32_t parallelism);
+
+/// Probe side of a hash join. The first pull builds `build` if nothing did
+/// yet (the sequential lazy build; the parallel gather builds before
+/// fan-out, and its morsel pipelines then probe the one build concurrently,
+/// read-only).
+std::unique_ptr<Cursor> MakeHashJoinProbeCursor(
+    std::unique_ptr<Cursor> input, const store::TripleTable& table,
+    std::shared_ptr<HashJoinBuild> build, std::string label = "",
+    util::ExecContext* exec = nullptr);
 
 /// Root governor: charges each produced row against `exec`'s row budget and
 /// polls deadline/cancellation between rows. Invisible to Explain (forwards
@@ -181,41 +194,6 @@ std::unique_ptr<Cursor> MakeIndexScanSliceCursor(
     size_t num_vars, size_t begin_offset, size_t end_offset,
     std::string label = "", util::ExecContext* exec = nullptr);
 
-/// The build side of a hash join shared by every morsel pipeline of one
-/// parallel query: built once — partitioned by key hash, partitions built
-/// in parallel, each inserting its keys' triples in index order so probe
-/// chains replay matches exactly like the sequential HashJoinCursor — then
-/// probed concurrently, read-only. Charges the ExecContext memory budget at
-/// kHashJoinBuildBytesPerRow like the sequential build and degrades the
-/// same way: a refused charge abandons the build (full refund) and every
-/// probe cursor falls back to index nested-loop probing, byte-identical.
-class SharedHashJoinBuild;
-
-std::shared_ptr<SharedHashJoinBuild> MakeSharedHashJoinBuild(
-    const store::TripleTable& table, const CompiledPattern& pat,
-    std::vector<uint32_t> key_vars, util::ExecContext* exec,
-    uint32_t parallelism);
-
-/// Probe-side cursor over a shared build (which must be EnsureBuilt()-ed
-/// before the first Next — the gather operator does this before fan-out).
-/// Emits the same stream as MakeHashJoinCursor over the same input.
-std::unique_ptr<Cursor> MakeSharedHashJoinProbeCursor(
-    std::unique_ptr<Cursor> input, const store::TripleTable& table,
-    std::shared_ptr<const SharedHashJoinBuild> build, std::string label = "",
-    util::ExecContext* exec = nullptr);
-
-/// How the gather operator schedules morsel pipelines. kAuto picks per
-/// host: on a single-CPU machine pool workers would only preempt the one
-/// consumer (measured ~10-15% wall overhead on the query bench), so every
-/// morsel streams inline on the consumer instead; multi-CPU hosts use pool
-/// workers. Both paths emit the identical byte stream — tests pin each mode
-/// explicitly so both stay exercised no matter what host CI lands on.
-enum class ParallelWorkerMode : uint8_t {
-  kAuto,
-  kForceWorkers,  // always spawn pool workers, even on one CPU
-  kForceInline,   // always stream morsels inline on the consumer
-};
-
 /// Everything MakeParallelGatherCursor needs to fan a pipeline out.
 struct ParallelGatherSpec {
   /// Compiles one morsel's pipeline over the driving-scan sub-range
@@ -232,11 +210,9 @@ struct ParallelGatherSpec {
   size_t width = 0;
   /// Worker fan-out (already resolved against hardware and morsel count).
   uint32_t num_threads = 1;
-  /// Worker vs. inline scheduling policy (see ParallelWorkerMode).
-  ParallelWorkerMode worker_mode = ParallelWorkerMode::kAuto;
-  /// Shared hash-join builds referenced by the pipelines; the gather cursor
-  /// EnsureBuilt()s them before spawning workers and keeps them alive.
-  std::vector<std::shared_ptr<SharedHashJoinBuild>> builds;
+  /// Hash-join builds the pipelines probe; the gather cursor builds them
+  /// before spawning workers and keeps them alive.
+  std::vector<std::shared_ptr<HashJoinBuild>> builds;
   /// Driving-pattern text for Describe.
   std::string label;
   /// Borrowed governance context, polled by every morsel pipeline.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "util/parallel_for.h"
 
@@ -10,48 +12,34 @@ namespace rdfsum::query {
 
 namespace {
 
-/// Compiles the morsel-parallel embeddings root, or nullptr when the query
-/// should run sequentially: parallelism not requested, the driving scan is
-/// under the gate, or fewer than two workers resolve. The per-morsel
-/// pipeline mirrors CompileEmbeddingTree step for step — slice scan, then
-/// per step either a probe of a shared hash build or an index nested-loop
-/// join — under the same hash/degrade decisions, so the ordered merge of
-/// morsel outputs is the sequential stream.
-std::unique_ptr<Cursor> TryCompileParallelEmbeddings(
-    const store::TripleTable& table, const QueryPlan& plan,
-    const ExecutorOptions& options, size_t num_vars) {
-  if (options.parallelism == 1) return nullptr;
-  const CompiledBgp& c = plan.compiled;
-  const CompiledPattern& first = c.patterns[plan.steps[0].pattern];
-  // The gate reads the *exact* match count (O(log n) index-range length),
-  // not an estimate: small probes must reliably stay sequential.
-  const uint64_t driving = table.Count(PatternConstants(first));
-  const uint64_t gate = options.min_parallel_rows != 0
-                            ? options.min_parallel_rows
-                            : kParallelMinScanRows;
-  if (driving < gate) return nullptr;
-  const uint64_t morsel_rows =
-      options.morsel_rows != 0 ? options.morsel_rows : kMorselRows;
-  const uint64_t num_morsels = (driving + morsel_rows - 1) / morsel_rows;
-  const uint32_t threads =
-      util::ResolveThreadCount(options.parallelism, num_morsels);
-  if (threads < 2) return nullptr;
+/// One join step (every plan step after the driving scan) as the compile
+/// decided it. A null build means an index nested-loop join.
+struct JoinStep {
+  CompiledPattern pat;
+  std::string label;
+  std::shared_ptr<HashJoinBuild> build;
+};
 
-  // Per-join-step compilation state, shared (immutably, once built) by
-  // every morsel pipeline. A null build means nested-loop join for that
-  // step — either the plan said so or the memory budget ruled the build out
-  // up front, exactly like the sequential compile.
-  struct StepSpec {
-    CompiledPattern pat;
-    std::string label;
-    std::shared_ptr<SharedHashJoinBuild> build;
+/// The per-step compile decisions shared by the sequential tree and the
+/// morsel pipelines: each join step's key variables (its variables an
+/// earlier step already bound, deduplicated in slot order), whether it
+/// hashes, and the compile-time degrade — the plan records the exact
+/// build-side size, so a hash join that cannot fit the memory budget is
+/// compiled as a nested-loop join up front rather than discovering it
+/// mid-build. Hash steps get a build of up to `parallelism` partitions.
+std::vector<JoinStep> CompileJoinSteps(const store::TripleTable& table,
+                                       const QueryPlan& plan,
+                                       const ExecutorOptions& options,
+                                       uint32_t parallelism) {
+  const CompiledBgp& c = plan.compiled;
+  std::vector<bool> bound(c.var_names.size(), false);
+  auto mark_bound = [&bound](const CompiledPattern& pat) {
+    for (const CompiledSlot* sl : {&pat.s, &pat.p, &pat.o}) {
+      if (sl->is_var) bound[sl->var] = true;
+    }
   };
-  auto steps = std::make_shared<std::vector<StepSpec>>();
-  std::vector<bool> bound(num_vars, false);
-  for (const CompiledSlot* sl : {&first.s, &first.p, &first.o}) {
-    if (sl->is_var) bound[sl->var] = true;
-  }
-  ParallelGatherSpec spec;
+  mark_bound(c.patterns[plan.steps[0].pattern]);
+  std::vector<JoinStep> steps;
   for (size_t i = 1; i < plan.steps.size(); ++i) {
     const PlanStep& step = plan.steps[i];
     const CompiledPattern& pat = c.patterns[step.pattern];
@@ -72,25 +60,63 @@ std::unique_ptr<Cursor> TryCompileParallelEmbeddings(
             step.estimated_build_rows * kHashJoinBuildBytesPerRow))) {
       hash = false;
     }
-    StepSpec s;
-    s.pat = pat;
-    s.label = step.pattern_text;
+    JoinStep s{pat, step.pattern_text, nullptr};
     if (hash) {
-      s.build = MakeSharedHashJoinBuild(table, pat, std::move(key_vars),
-                                        options.exec, threads);
-      spec.builds.push_back(s.build);
+      s.build = MakeHashJoinBuild(table, pat, std::move(key_vars),
+                                  options.exec, parallelism);
     }
-    steps->push_back(std::move(s));
-    for (const CompiledSlot* sl : {&pat.s, &pat.p, &pat.o}) {
-      if (sl->is_var) bound[sl->var] = true;
-    }
+    steps.push_back(std::move(s));
+    mark_bound(pat);
   }
+  return steps;
+}
 
+std::unique_ptr<Cursor> MakeJoin(std::unique_ptr<Cursor> input,
+                                 const store::TripleTable& table,
+                                 const JoinStep& s, util::ExecContext* exec) {
+  if (s.build != nullptr) {
+    return MakeHashJoinProbeCursor(std::move(input), table, s.build, s.label,
+                                   exec);
+  }
+  return MakeIndexNestedLoopJoinCursor(std::move(input), table, s.pat, s.label,
+                                       exec);
+}
+
+/// Compiles the morsel-parallel embeddings root, or nullptr when the query
+/// should run sequentially: parallelism not requested, the driving scan is
+/// under the gate, or fewer than two workers resolve. Each morsel pipeline
+/// is a slice scan followed by the same join steps as the sequential tree,
+/// so the ordered merge of morsel outputs is the sequential stream.
+std::unique_ptr<Cursor> TryCompileParallelEmbeddings(
+    const store::TripleTable& table, const QueryPlan& plan,
+    const ExecutorOptions& options, size_t num_vars) {
+  if (options.parallelism == 1) return nullptr;
+  const CompiledPattern& first = plan.compiled.patterns[plan.steps[0].pattern];
+  // The gate reads the *exact* match count (O(log n) index-range length),
+  // not an estimate: small probes must reliably stay sequential.
+  const uint64_t driving = table.Count(PatternConstants(first));
+  const uint64_t gate = options.min_parallel_rows != 0
+                            ? options.min_parallel_rows
+                            : kParallelMinScanRows;
+  if (driving < gate) return nullptr;
+  const uint64_t morsel_rows =
+      options.morsel_rows != 0 ? options.morsel_rows : kMorselRows;
+  const uint64_t num_morsels = (driving + morsel_rows - 1) / morsel_rows;
+  const uint32_t threads =
+      util::ResolveThreadCount(options.parallelism, num_morsels);
+  if (threads < 2) return nullptr;
+
+  // Shared (immutably, once built) by every morsel pipeline.
+  auto steps = std::make_shared<const std::vector<JoinStep>>(
+      CompileJoinSteps(table, plan, options, threads));
+  ParallelGatherSpec spec;
+  for (const JoinStep& s : *steps) {
+    if (s.build != nullptr) spec.builds.push_back(s.build);
+  }
   spec.total_rows = driving;
   spec.morsel_rows = options.morsel_rows;  // 0 resolves inside the gather
   spec.width = num_vars;
   spec.num_threads = threads;
-  spec.worker_mode = options.worker_mode;
   spec.label = plan.steps[0].pattern_text;
   spec.exec = options.exec;
   spec.pipeline = [&table, steps, first, num_vars,
@@ -98,14 +124,8 @@ std::unique_ptr<Cursor> TryCompileParallelEmbeddings(
                    exec = options.exec](size_t begin, size_t end) {
     std::unique_ptr<Cursor> cur = MakeIndexScanSliceCursor(
         table, first, num_vars, begin, end, first_label, exec);
-    for (const StepSpec& s : *steps) {
-      if (s.build != nullptr) {
-        cur = MakeSharedHashJoinProbeCursor(std::move(cur), table, s.build,
-                                            s.label, exec);
-      } else {
-        cur = MakeIndexNestedLoopJoinCursor(std::move(cur), table, s.pat,
-                                            s.label, exec);
-      }
+    for (const JoinStep& s : *steps) {
+      cur = MakeJoin(std::move(cur), table, s, exec);
     }
     return cur;
   };
@@ -116,8 +136,7 @@ std::unique_ptr<Cursor> TryCompileParallelEmbeddings(
 
 CursorTree CompileEmbeddingTree(const store::TripleTable& table,
                                 const QueryPlan& plan,
-                                HashJoinMode hash_join,
-                                util::ExecContext* exec) {
+                                const ExecutorOptions& options) {
   CursorTree tree;
   const CompiledBgp& c = plan.compiled;
   const size_t num_vars = c.var_names.size();
@@ -131,72 +150,22 @@ CursorTree CompileEmbeddingTree(const store::TripleTable& table,
     tree.embeddings = tree.root.get();
     return tree;
   }
-
-  std::vector<bool> bound(num_vars, false);
-  std::unique_ptr<Cursor> cur;
-  for (size_t i = 0; i < plan.steps.size(); ++i) {
-    const PlanStep& step = plan.steps[i];
-    const CompiledPattern& pat = c.patterns[step.pattern];
-    if (i == 0) {
-      cur = MakeIndexScanCursor(table, pat, num_vars, step.pattern_text,
-                                exec);
-    } else {
-      // Join variables: `pat`'s variables an earlier step already bound,
-      // deduplicated in slot order.
-      std::vector<uint32_t> key_vars;
-      for (const CompiledSlot* sl : {&pat.s, &pat.p, &pat.o}) {
-        if (sl->is_var && bound[sl->var] &&
-            std::find(key_vars.begin(), key_vars.end(), sl->var) ==
-                key_vars.end()) {
-          key_vars.push_back(sl->var);
-        }
-      }
-      bool hash =
-          !key_vars.empty() &&
-          (hash_join == HashJoinMode::kAlways ||
-           (hash_join == HashJoinMode::kFromPlan && step.use_hash_join));
-      // Compile-time degrade: the plan records the exact build-side size,
-      // so a hash join that cannot fit the memory budget is compiled as a
-      // nested-loop join up front rather than discovering it mid-build.
-      if (hash && exec != nullptr &&
-          exec->WouldExceedMemory(static_cast<uint64_t>(
-              step.estimated_build_rows * kHashJoinBuildBytesPerRow))) {
-        hash = false;
-      }
-      if (hash) {
-        cur = MakeHashJoinCursor(std::move(cur), table, pat,
-                                 std::move(key_vars), step.pattern_text,
-                                 exec);
-      } else {
-        cur = MakeIndexNestedLoopJoinCursor(std::move(cur), table, pat,
-                                            step.pattern_text, exec);
-      }
-    }
+  std::unique_ptr<Cursor> cur =
+      TryCompileParallelEmbeddings(table, plan, options, num_vars);
+  if (cur == nullptr) {
+    const PlanStep& first = plan.steps[0];
+    cur = MakeIndexScanCursor(table, c.patterns[first.pattern], num_vars,
+                              first.pattern_text, options.exec);
     tree.step_cursors.push_back(cur.get());
-    for (const CompiledSlot* sl : {&pat.s, &pat.p, &pat.o}) {
-      if (sl->is_var) bound[sl->var] = true;
+    for (const JoinStep& s : CompileJoinSteps(table, plan, options, 1)) {
+      cur = MakeJoin(std::move(cur), table, s, options.exec);
+      tree.step_cursors.push_back(cur.get());
     }
   }
+  // Parallel trees leave step_cursors empty; see the header note.
   tree.embeddings = cur.get();
   tree.root = std::move(cur);
   return tree;
-}
-
-CursorTree CompileEmbeddingTree(const store::TripleTable& table,
-                                const QueryPlan& plan,
-                                const ExecutorOptions& options) {
-  const CompiledBgp& c = plan.compiled;
-  if (!c.impossible && !plan.steps.empty()) {
-    std::unique_ptr<Cursor> par =
-        TryCompileParallelEmbeddings(table, plan, options, c.var_names.size());
-    if (par != nullptr) {
-      CursorTree tree;
-      tree.embeddings = par.get();
-      tree.root = std::move(par);
-      return tree;  // step_cursors stay empty; see the header note
-    }
-  }
-  return CompileEmbeddingTree(table, plan, options.hash_join, options.exec);
 }
 
 CursorTree CompileQueryTree(const store::TripleTable& table,

@@ -49,10 +49,6 @@ struct ExecutorOptions {
   /// Morsel-size override; 0 means kMorselRows. Tests shrink it to get
   /// many-morsel schedules on small fixtures.
   uint64_t morsel_rows = 0;
-  /// Scheduling policy for an engaged fan-out: pool workers vs. inline
-  /// streaming on the consumer. kAuto decides per host; tests pin each
-  /// mode so both paths run on any machine.
-  ParallelWorkerMode worker_mode = ParallelWorkerMode::kAuto;
 };
 
 /// The compiled operator tree plus non-owning handles into it, for reading
@@ -71,19 +67,15 @@ struct CursorTree {
   Cursor* distinct = nullptr;
 };
 
-/// Compiles `plan` into the join pipeline only (no projection, no dedup):
-/// the root enumerates embeddings of the query body as full-width binding
-/// rows. Backbone of ExistsMatch/CountEmbeddings. With `exec`, operators
-/// poll governance, and a plan-chosen hash join whose predicted build state
+/// Compiles `plan` into the join pipeline only (no projection, no dedup;
+/// limit and offset are ignored): the root enumerates embeddings of the
+/// query body as full-width binding rows. Backbone of
+/// ExistsMatch/CountEmbeddings. With options.exec, operators poll
+/// governance, and a plan-chosen hash join whose predicted build state
 /// (estimated_build_rows × kHashJoinBuildBytesPerRow) cannot fit the
 /// remaining memory budget is compiled as a nested-loop join up front —
 /// same rows, no doomed build.
-CursorTree CompileEmbeddingTree(const store::TripleTable& table,
-                                const QueryPlan& plan,
-                                HashJoinMode hash_join = HashJoinMode::kFromPlan,
-                                util::ExecContext* exec = nullptr);
-
-/// Like the above but honoring the full options, including parallelism.
+///
 /// When options.parallelism != 1, the driving scan clears the fan-out gate
 /// (exact Count >= min_parallel_rows), and at least two workers resolve, the
 /// embeddings root is a ParallelGather over per-morsel pipelines instead of
@@ -92,7 +84,7 @@ CursorTree CompileEmbeddingTree(const store::TripleTable& table,
 /// always compiles sequentially, so nothing reads them.
 CursorTree CompileEmbeddingTree(const store::TripleTable& table,
                                 const QueryPlan& plan,
-                                const ExecutorOptions& options);
+                                const ExecutorOptions& options = {});
 
 /// Compiles the full query tree: joins -> Project(head) -> Distinct ->
 /// LimitOffset (the last only when limit/offset are set). The root yields

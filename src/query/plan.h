@@ -96,7 +96,7 @@ struct PlanStep {
   /// Estimated cumulative embeddings after this step.
   double estimated_rows = 0.0;
   /// True when the planner flagged a fat intermediate feeding this step and
-  /// the executor should serve it with a HashJoinCursor (join-pick rule
+  /// the executor should serve it with a hash join (join-pick rule
   /// above). Always false for the first step (nothing to join with yet).
   bool use_hash_join = false;
   /// Exact size of the step's would-be hash build side: matches of the

@@ -15,7 +15,7 @@ namespace rdfsum::util {
 /// vectors it replaced allocated per row and compared in O(width log n)).
 ///
 /// Shared by the query layer for projection dedup (Distinct), and as the key
-/// directory of HashJoinCursor's build side: InsertOrFind hands back a dense
+/// directory of each HashJoinBuild partition: InsertOrFind hands back a dense
 /// ordinal per distinct key that callers index side arrays with.
 ///
 /// A width of 0 models the boolean projection: there is exactly one possible

@@ -120,6 +120,68 @@ TEST(GovernanceTest, UngovernedHashAndDegradedAgreeOnEveryBudget) {
   }
 }
 
+TEST(GovernanceTest, BuildsThatFitAloneButNotTogetherDegradeOneJoin) {
+  // Two hash joins whose build sides each pass the compile-time fit check
+  // but not together: the build that runs second is refused mid-build and
+  // serves its probes as a nested-loop join — same stream as kNever, at
+  // parallelism 1 (lazy builds) and 2 (builds before fan-out).
+  const Graph& g = TestGraph();
+  BgpQuery q = MustParse(
+      "SELECT ?p ?f ?l WHERE { ?p <http://bsbm.example.org/producer> ?f . "
+      "?p <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+      "<http://bsbm.example.org/Product> . "
+      "?p <http://bsbm.example.org/label> ?l . }");
+  BgpEvaluator eval(g);
+  QueryPlan plan = eval.Plan(q);
+  ASSERT_EQ(plan.steps.size(), 3u);
+  auto build_bytes = [&plan](size_t step) {
+    return static_cast<uint64_t>(plan.steps[step].estimated_build_rows) *
+           kHashJoinBuildBytesPerRow;
+  };
+  const uint64_t b1 = build_bytes(1);
+  const uint64_t b2 = build_bytes(2);
+  ASSERT_GT(std::min(b1, b2), 2 * kHashJoinBuildBytesPerRow);
+  util::ExecContext::Limits limits;
+  limits.memory_budget_bytes = std::max(b1, b2) + std::min(b1, b2) / 2;
+
+  CursorOptions nlj_options;
+  nlj_options.hash_join = HashJoinMode::kNever;
+  auto nlj = eval.Open(q, plan, nlj_options);
+  ASSERT_TRUE(nlj.ok());
+  const std::vector<IdRow> expected = Drain(**nlj);
+  ASSERT_FALSE(expected.empty());
+
+  for (uint32_t parallelism : {1u, 2u}) {
+    util::ExecContext ctx(limits);
+    CursorOptions options;
+    options.hash_join = HashJoinMode::kAlways;
+    options.exec = &ctx;
+    options.parallelism = parallelism;
+    options.min_parallel_rows = 1;
+    options.morsel_rows = 64;
+    auto cur = eval.Open(q, plan, options);
+    ASSERT_TRUE(cur.ok());
+    EXPECT_EQ(Drain(**cur), expected) << "parallelism " << parallelism;
+    EXPECT_TRUE((*cur)->status().ok()) << (*cur)->status().ToString();
+    std::vector<OperatorStats> ops;
+    (*cur)->CollectOperators(&ops);
+    size_t degraded = 0;
+    bool gathered = false;
+    for (const OperatorStats& op : ops) {
+      if (op.op.find("degraded=nlj") != std::string::npos) ++degraded;
+      if (op.op.find("ParallelGather") != std::string::npos) gathered = true;
+    }
+    EXPECT_EQ(gathered, parallelism > 1);
+    // Morsel pipelines are transient, so only the sequential tree lists
+    // its join operators.
+    if (parallelism == 1) {
+      EXPECT_EQ(degraded, 1u);
+    }
+    (*cur).reset();
+    EXPECT_EQ(ctx.memory_used(), 0u) << "parallelism " << parallelism;
+  }
+}
+
 TEST(GovernanceTest, RowBudgetMetersDeliveredAnswers) {
   const Graph& g = TestGraph();
   BgpQuery q = MustParse("SELECT ?s ?p ?o WHERE { ?s ?p ?o . }");

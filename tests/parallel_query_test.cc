@@ -11,11 +11,6 @@
 // surface mid-fan-out without deadlocking the shared pool, every
 // outstanding memory charge is refunded by teardown, and randomized
 // mid-flight cancellation (x30) always joins. Runs under TSan in CI.
-//
-// Both gather scheduling modes are pinned explicitly: the wall forces pool
-// workers (kForceWorkers) so the exchange machinery runs even on a 1-core
-// host, and a dedicated section pins the single-CPU inline streaming path
-// (kForceInline) so it runs even on many-core hosts.
 
 #include <gtest/gtest.h>
 
@@ -80,16 +75,11 @@ std::vector<Row> DrainCursor(const BgpEvaluator& eval, const BgpQuery& q,
 }
 
 /// Options that force fan-out on small test fixtures: gate at one row,
-/// tiny morsels so every query sees a many-morsel schedule. Pins
-/// kForceWorkers: on a single-CPU host kAuto streams morsels inline on the
-/// consumer, which would silently skip the exchange machinery (workers,
-/// run-ahead window, ordered merge) this wall exists to exercise. The
-/// inline path has its own differential section below.
+/// tiny morsels so every query sees a many-morsel schedule.
 CursorOptions Parallel(uint32_t threads, CursorOptions base = {}) {
   base.parallelism = threads;
   base.min_parallel_rows = 1;
   base.morsel_rows = 16;
-  base.worker_mode = ParallelWorkerMode::kForceWorkers;
   return base;
 }
 
@@ -255,11 +245,6 @@ TEST(ParallelGateTest, LoweredGateEngagesAndSequentialRequestNever) {
   EXPECT_TRUE(TreeHasGather(eval, w.fixed_queries[0], Parallel(4)));
   // parallelism == 1 is the hard sequential switch, gate irrelevant.
   EXPECT_FALSE(TreeHasGather(eval, w.fixed_queries[0], Parallel(1)));
-  // Inline streaming mode still compiles the gather (it is the gather that
-  // streams the morsels) — the parallel plan shape, not a fallback.
-  CursorOptions inl = Parallel(4);
-  inl.worker_mode = ParallelWorkerMode::kForceInline;
-  EXPECT_TRUE(TreeHasGather(eval, w.fixed_queries[0], inl));
 }
 
 // ------------------------------------------------- governance mid-fan-out
@@ -430,7 +415,7 @@ TEST(ParallelFaultTest, SharedBuildFailpointDegradesOrFails) {
       DrainCursor(f.eval, f.q, PlannerMode::kGreedy, hashed));
 
   // ResourceExhausted at the build site = degrade to nested loops, same
-  // rows (the sequential HashJoinCursor contract).
+  // rows.
   util::FaultInjection::Arm("query:hashjoin-build",
                            Status::ResourceExhausted("injected"));
   EXPECT_EQ(Exact(DrainCursor(f.eval, f.q, PlannerMode::kGreedy, hashed)),
@@ -447,100 +432,6 @@ TEST(ParallelFaultTest, SharedBuildFailpointDegradesOrFails) {
   EXPECT_TRUE((*cursor)->status().IsIOError())
       << (*cursor)->status().ToString();
   util::FaultInjection::Clear();
-}
-
-// ---------------------------------------------- inline streaming mode
-//
-// kForceInline streams every morsel's pipeline directly on the consumer —
-// the single-CPU fast path kAuto picks on a 1-core host. Pinning it here
-// keeps the path covered on many-core machines too, and pinning both modes
-// against each other pins the core invariant: scheduling never changes
-// bytes.
-
-TEST(ParallelWorkerModeTest, InlineStreamingIsByteIdenticalEveryMode) {
-  Workload w = LubmWorkload();
-  BgpEvaluator eval(w.graph);
-  for (const BgpQuery& q : w.fixed_queries) {
-    for (HashJoinMode hj : {HashJoinMode::kNever, HashJoinMode::kAlways}) {
-      CursorOptions seq;
-      seq.hash_join = hj;
-      std::vector<std::string> full =
-          Exact(DrainCursor(eval, q, PlannerMode::kGreedy, seq));
-      for (uint32_t threads : {2u, 4u, 8u}) {
-        CursorOptions inl = Parallel(threads, seq);
-        inl.worker_mode = ParallelWorkerMode::kForceInline;
-        EXPECT_EQ(Exact(DrainCursor(eval, q, PlannerMode::kGreedy, inl)),
-                  full)
-            << "hj=" << static_cast<int>(hj) << " threads=" << threads
-            << "\n"
-            << q.ToString();
-        // And kAuto — whichever path this host resolves to — agrees.
-        CursorOptions aut = Parallel(threads, seq);
-        aut.worker_mode = ParallelWorkerMode::kAuto;
-        EXPECT_EQ(Exact(DrainCursor(eval, q, PlannerMode::kGreedy, aut)),
-                  full)
-            << "auto hj=" << static_cast<int>(hj) << " threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(ParallelWorkerModeTest, InlineLimitSlicesStopEarly) {
-  GovernedFixture f;
-  std::vector<std::string> full =
-      Exact(DrainCursor(f.eval, f.q, PlannerMode::kGreedy, {}));
-  for (size_t limit : {size_t{0}, size_t{1}, size_t{3}}) {
-    CursorOptions slice = Parallel(4);
-    slice.worker_mode = ParallelWorkerMode::kForceInline;
-    slice.limit = limit;
-    slice.offset = 1;
-    std::vector<std::string> expected;
-    for (size_t i = 1; i < full.size() && expected.size() < limit; ++i) {
-      expected.push_back(full[i]);
-    }
-    EXPECT_EQ(Exact(DrainCursor(f.eval, f.q, PlannerMode::kGreedy, slice)),
-              expected)
-        << "limit=" << limit;
-  }
-}
-
-TEST(ParallelWorkerModeTest, InlineModeSurfacesMorselFailpoint) {
-  if (!util::FaultInjection::compiled_in()) {
-    GTEST_SKIP() << "failpoints not compiled in";
-  }
-  GovernedFixture f;
-  util::FaultInjection::Arm("query:morsel",
-                           Status::IOError("injected morsel fault"));
-  CursorOptions inl = Parallel(4);
-  inl.worker_mode = ParallelWorkerMode::kForceInline;
-  auto cursor = f.eval.Open(f.q, PlannerMode::kGreedy, inl);
-  ASSERT_TRUE(cursor.ok());
-  IdRow row;
-  while ((*cursor)->Next(&row)) {
-  }
-  EXPECT_TRUE((*cursor)->status().IsIOError())
-      << (*cursor)->status().ToString();
-  util::FaultInjection::Clear();
-}
-
-TEST(ParallelWorkerModeTest, InlineModeHonorsGovernance) {
-  GovernedFixture f;
-  util::ExecContext::Limits limits;
-  limits.max_rows = 3;
-  util::ExecContext ctx(limits);
-  CursorOptions inl = Parallel(4);
-  inl.worker_mode = ParallelWorkerMode::kForceInline;
-  inl.exec = &ctx;
-  auto cursor = f.eval.Open(f.q, PlannerMode::kGreedy, inl);
-  ASSERT_TRUE(cursor.ok());
-  IdRow row;
-  size_t rows = 0;
-  while ((*cursor)->Next(&row)) ++rows;
-  EXPECT_TRUE((*cursor)->status().IsResourceExhausted())
-      << (*cursor)->status().ToString();
-  EXPECT_LE(rows, 3u);
-  cursor->reset();
-  EXPECT_EQ(ctx.memory_used(), 0u);
 }
 
 }  // namespace
