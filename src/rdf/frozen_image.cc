@@ -449,8 +449,7 @@ Status ValidateStructure(const FrozenImage& img) {
 
 }  // namespace
 
-StatusOr<FrozenImage> FrozenImage::Attach(const char* data, size_t size,
-                                          const Options& options) {
+StatusOr<FrozenImage> FrozenImage::Attach(const char* data, size_t size) {
   if (!HostIsLittleEndian()) {
     return Status::NotSupported("frozen images require a little-endian host");
   }
@@ -535,11 +534,9 @@ StatusOr<FrozenImage> FrozenImage::Attach(const char* data, size_t size,
     }
   }
 
-  if (options.verify_checksums) {
-    for (const SectionDesc& d : img.descs_) {
-      if (ImageFnv1a64(data + d.offset, d.size) != d.checksum) {
-        return Corrupt("checksum mismatch in section " + std::to_string(d.id));
-      }
+  for (const SectionDesc& d : img.descs_) {
+    if (ImageFnv1a64(data + d.offset, d.size) != d.checksum) {
+      return Corrupt("checksum mismatch in section " + std::to_string(d.id));
     }
   }
 
@@ -549,9 +546,7 @@ StatusOr<FrozenImage> FrozenImage::Attach(const char* data, size_t size,
   }
   std::memcpy(&img.meta_, meta_bytes.data(), sizeof(ImageMeta));
 
-  if (options.validate_structure) {
-    RDFSUM_RETURN_IF_ERROR(ValidateStructure(img));
-  }
+  RDFSUM_RETURN_IF_ERROR(ValidateStructure(img));
   return img;
 }
 

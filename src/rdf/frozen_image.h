@@ -157,7 +157,7 @@ static_assert(sizeof(ImagePredStat) == 32);
 /// memcpy.
 inline constexpr uint64_t kImageTermRecordHeaderBytes = 1 + 3 * 4;
 
-/// FNV-1a-64, seeded compatibly with summary persistence v2.
+/// FNV-1a-64 with the standard 64-bit offset basis as its seed.
 inline constexpr uint64_t kImageFnvSeed = 1469598103934665603ULL;
 inline uint64_t ImageFnv1a64(const void* data, size_t size,
                              uint64_t h = kImageFnvSeed) {
@@ -222,8 +222,7 @@ void AppendDenseSections(const DenseGraph& dg, ImageMeta* meta,
 ///  - section table: ascending ids, 64-byte alignment, in-bounds and
 ///    non-overlapping payloads in table order, zeroed gaps, required
 ///    sections present (and dense sections present iff flagged);
-///  - per-section FNV-1a-64 checksums (skippable via Options for
-///    open-at-page-cache-speed on trusted files);
+///  - per-section FNV-1a-64 checksums;
 ///  - structural validation: every section's size matches the kMeta counts
 ///    exactly, term-arena offsets are monotone and records well-formed,
 ///    the slot table is a power of two with a free slot, permutations are
@@ -236,20 +235,9 @@ void AppendDenseSections(const DenseGraph& dg, ImageMeta* meta,
 /// driven by an unvalidated count.
 class FrozenImage {
  public:
-  struct Options {
-    bool verify_checksums = true;
-    bool validate_structure = true;
-  };
-
   FrozenImage() = default;
 
-  // (Two overloads instead of `= {}`: GCC rejects brace defaults for
-  // aggregates with member initializers, PR 88165.)
-  static StatusOr<FrozenImage> Attach(const char* data, size_t size) {
-    return Attach(data, size, Options());
-  }
-  static StatusOr<FrozenImage> Attach(const char* data, size_t size,
-                                      const Options& options);
+  static StatusOr<FrozenImage> Attach(const char* data, size_t size);
 
   const ImageMeta& meta() const { return meta_; }
   bool has_dense() const { return (flags_ & kImageFlagDense) != 0; }

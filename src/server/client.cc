@@ -100,18 +100,10 @@ Status Client::DrainToDone(const RowFn* on_row, std::string* text,
     if (!rs.ok()) return rs;
     switch (frame.type) {
       case kFrameRow: {
-        PayloadReader r(frame.payload);
-        uint32_t ncols = 0;
-        if (!r.ReadU32(&ncols)) {
+        std::vector<std::string> cols;
+        if (!DecodeRow(frame.payload, &cols)) {
           return Status::Corruption("malformed ROW frame");
         }
-        std::vector<std::string> cols(ncols);
-        for (std::string& c : cols) {
-          if (!r.ReadLenBytes(&c)) {
-            return Status::Corruption("malformed ROW frame");
-          }
-        }
-        if (!r.AtEnd()) return Status::Corruption("trailing bytes in ROW");
         ++rows;
         if (on_row && !(*on_row)(cols) && !cancel_sent_) {
           cancel_sent_ = true;

@@ -38,17 +38,6 @@ std::string EncodeHello(uint64_t epoch) {
   return p;
 }
 
-/// Encodes one answer row: u32 column count, then each term's canonical
-/// N-Triples rendering as len-bytes. The rendering is the same string the
-/// CLI prints and the dictionary keys on, which is what makes the
-/// served-vs-local byte-identity test in tests/server_test.cc meaningful.
-std::string EncodeRow(const query::Row& row) {
-  std::string p;
-  AppendU32(&p, static_cast<uint32_t>(row.size()));
-  for (const Term& t : row) AppendLenBytes(&p, t.ToNTriples());
-  return p;
-}
-
 bool PlannerFromWire(uint8_t v, query::PlannerMode* mode) {
   switch (v) {
     case 0:
@@ -88,7 +77,6 @@ Status Server::Start(const std::string& image_path,
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     snapshot_ = std::move(snap).value();
   }
-  epoch_.store(1, std::memory_order_relaxed);
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
@@ -192,9 +180,7 @@ void Server::WorkerLoop() {
 }
 
 void Server::HandleConnection(int fd) {
-  if (!WriteFrame(fd, kFrameHello,
-                  EncodeHello(epoch_.load(std::memory_order_relaxed)))
-           .ok()) {
+  if (!WriteFrame(fd, kFrameHello, EncodeHello(snapshot()->epoch())).ok()) {
     ::close(fd);
     return;
   }
@@ -411,16 +397,17 @@ bool Server::HandleQuery(int fd, const std::string& payload) {
 
 Status Server::Reload(const std::string& path) {
   RDFSUM_FAILPOINT("serve:swap");
-  std::string target = path;
-  if (target.empty()) target = snapshot()->path();
-  uint64_t next_epoch = epoch_.load(std::memory_order_relaxed) + 1;
-  auto snap = Snapshot::Open(target, next_epoch);
+  // One reload at a time: the next epoch is derived from the published
+  // snapshot, so two concurrent reloads must not both read the same one.
+  std::lock_guard<std::mutex> reload_lock(reload_mu_);
+  std::shared_ptr<Snapshot> current = snapshot();
+  const std::string& target = path.empty() ? current->path() : path;
+  auto snap = Snapshot::Open(target, current->epoch() + 1);
   if (!snap.ok()) return snap.status();
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     snapshot_ = std::move(snap).value();
   }
-  epoch_.store(next_epoch, std::memory_order_relaxed);
   // Skeletons were picked against the old image's statistics; they would
   // still be *correct* (results are plan-invariant) but possibly slow, and
   // "correct but quietly mis-tuned forever" is the wrong failure mode.

@@ -120,9 +120,11 @@ class Server {
   uint16_t port_ = 0;
   int listen_fd_ = -1;
 
+  /// Serializes Reload(): held from reading the current epoch until the
+  /// next snapshot is published.
+  std::mutex reload_mu_;
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<Snapshot> snapshot_;
-  std::atomic<uint64_t> epoch_{0};
 
   std::unique_ptr<PlanCache> plan_cache_;
 

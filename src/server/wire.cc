@@ -46,6 +46,16 @@ uint32_t LoadU32(const char* p) {
   return v;
 }
 
+/// The 3 padding bytes after a payload's leading u8: must be zero, like the
+/// frame header's.
+bool ReadZeroPadding(PayloadReader* r) {
+  for (int i = 0; i < 3; ++i) {
+    uint8_t pad = 0;
+    if (!r->ReadU8(&pad) || pad != 0) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 Status ReadFrame(int fd, Frame* out) {
@@ -160,11 +170,10 @@ std::string EncodeQueryRequest(const QueryRequest& req) {
 
 bool DecodeQueryRequest(std::string_view payload, QueryRequest* out) {
   PayloadReader r(payload);
-  uint8_t pad;
-  if (!(r.ReadU8(&out->planner) && r.ReadU8(&pad) && r.ReadU8(&pad) &&
-        r.ReadU8(&pad) && r.ReadU64(&out->limit) &&
-        r.ReadU64(&out->offset) && r.ReadU32(&out->timeout_ms) &&
-        r.ReadU64(&out->max_rows) && r.ReadLenBytes(&out->query))) {
+  if (!(r.ReadU8(&out->planner) && ReadZeroPadding(&r) &&
+        r.ReadU64(&out->limit) && r.ReadU64(&out->offset) &&
+        r.ReadU32(&out->timeout_ms) && r.ReadU64(&out->max_rows) &&
+        r.ReadLenBytes(&out->query))) {
     return false;
   }
   // Protocol 1.1 optional trailing field: a 1.0 request ends here.
@@ -186,10 +195,27 @@ std::string EncodeDone(const Status& status, uint64_t rows) {
 
 bool DecodeDone(std::string_view payload, DoneReply* out) {
   PayloadReader r(payload);
-  uint8_t pad;
-  return r.ReadU8(&out->code) && r.ReadU8(&pad) && r.ReadU8(&pad) &&
-         r.ReadU8(&pad) && r.ReadU64(&out->rows) &&
-         r.ReadLenBytes(&out->message) && r.AtEnd();
+  return r.ReadU8(&out->code) && ReadZeroPadding(&r) &&
+         r.ReadU64(&out->rows) && r.ReadLenBytes(&out->message) && r.AtEnd();
+}
+
+std::string EncodeRow(std::span<const Term> row) {
+  std::string p;
+  AppendU32(&p, static_cast<uint32_t>(row.size()));
+  for (const Term& t : row) AppendLenBytes(&p, t.ToNTriples());
+  return p;
+}
+
+bool DecodeRow(std::string_view payload, std::vector<std::string>* cols) {
+  PayloadReader r(payload);
+  uint32_t ncols = 0;
+  if (!r.ReadU32(&ncols)) return false;
+  if (ncols > (payload.size() - sizeof ncols) / sizeof(uint32_t)) return false;
+  cols->assign(ncols, std::string());
+  for (std::string& c : *cols) {
+    if (!r.ReadLenBytes(&c)) return false;
+  }
+  return r.AtEnd();
 }
 
 Status StatusFromWire(uint8_t code, std::string_view message) {

@@ -2,9 +2,12 @@
 #define RDFSUM_SERVER_WIRE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "rdf/term.h"
 #include "util/status.h"
 
 namespace rdfsum::server {
@@ -103,7 +106,18 @@ struct QueryRequest {
 };
 
 std::string EncodeQueryRequest(const QueryRequest& req);
+/// False on underrun, trailing bytes or nonzero padding.
 bool DecodeQueryRequest(std::string_view payload, QueryRequest* out);
+
+/// kFrameRow payload: u32 column count, then each term's canonical
+/// N-Triples rendering as len-bytes. The rendering is the same string the
+/// CLI prints and the dictionary keys on, which is what makes the
+/// served-vs-local byte-identity test in tests/server_test.cc meaningful.
+std::string EncodeRow(std::span<const Term> row);
+/// False on a malformed payload, including a column count the payload is
+/// too short to hold (every column takes at least its 4-byte length), which
+/// is rejected before anything is sized from it.
+bool DecodeRow(std::string_view payload, std::vector<std::string>* cols);
 
 /// kFrameDone payload: the request's final Status plus the number of row
 /// frames that preceded it.
@@ -114,6 +128,7 @@ struct DoneReply {
 };
 
 std::string EncodeDone(const Status& status, uint64_t rows);
+/// False on underrun, trailing bytes or nonzero padding.
 bool DecodeDone(std::string_view payload, DoneReply* out);
 
 /// Reconstructs a Status from a DONE frame. Unknown codes map to kInternal

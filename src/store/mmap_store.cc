@@ -80,7 +80,7 @@ MmapStore::~MmapStore() {
 }
 
 StatusOr<std::unique_ptr<MmapStore>> MmapStore::Open(
-    const std::string& path, const OpenOptions& options) {
+    const std::string& path) {
   RDFSUM_FAILPOINT("image:open");
 
   std::unique_ptr<MmapStore> store(new MmapStore());
@@ -121,12 +121,8 @@ StatusOr<std::unique_ptr<MmapStore>> MmapStore::Open(
     store->size_ = store->heap_.size();
   }
 
-  FrozenImage::Options img_options;
-  img_options.verify_checksums = options.verify_checksums;
-  img_options.validate_structure = options.validate_structure;
-  RDFSUM_ASSIGN_OR_RETURN(
-      store->image_, FrozenImage::Attach(store->data_, store->size_,
-                                         img_options));
+  RDFSUM_ASSIGN_OR_RETURN(store->image_,
+                          FrozenImage::Attach(store->data_, store->size_));
 
   store->dict_ = Dictionary::FromView(store->image_.dictionary_view());
 

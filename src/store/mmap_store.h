@@ -55,20 +55,9 @@ inline Status FreezeGraphToFile(const Graph& g, const std::string& path) {
 /// must outlive every evaluator, cursor, and Graph handed out from it.
 class MmapStore {
  public:
-  struct OpenOptions {
-    /// Verify per-section FNV-1a-64 checksums at open (recommended).
-    bool verify_checksums = true;
-    /// Run the structural validation gate at open (see FrozenImage).
-    bool validate_structure = true;
-  };
-
-  /// Opens and validates `path`. Failpoint: `image:open`.
-  /// (Two overloads instead of `= {}`: GCC PR 88165, see fault_injection.h.)
-  static StatusOr<std::unique_ptr<MmapStore>> Open(
-      const std::string& path, const OpenOptions& options);
-  static StatusOr<std::unique_ptr<MmapStore>> Open(const std::string& path) {
-    return Open(path, OpenOptions());
-  }
+  /// Opens `path` and runs FrozenImage::Attach's full corruption wall
+  /// (checksums and structural validation). Failpoint: `image:open`.
+  static StatusOr<std::unique_ptr<MmapStore>> Open(const std::string& path);
 
   ~MmapStore();
   MmapStore(const MmapStore&) = delete;

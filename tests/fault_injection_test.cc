@@ -11,7 +11,6 @@
 #include "gen/paper_example.h"
 #include "query/evaluator.h"
 #include "query/sparql_parser.h"
-#include "summary/persistence.h"
 #include "summary/summarizer.h"
 #include "util/fault_injection.h"
 #include "util/status.h"
@@ -76,25 +75,6 @@ TEST_F(FaultInjectionTest, RandomModeIsDeterministicPerSeed) {
 }
 
 // ---- integration: the named sites actually fire -------------------------
-
-TEST_F(FaultInjectionTest, PersistenceSitesInject) {
-  gen::Figure2Example ex = gen::BuildFigure2();
-  summary::SummaryResult r =
-      summary::Summarize(ex.graph, summary::SummaryKind::kWeak);
-  const std::string path = testing::TempDir() + "/fp.rdfsum";
-
-  FaultInjection::Arm("persistence:write", Status::IOError("disk full"));
-  Status save = summary::SaveSummary(r, path);
-  EXPECT_TRUE(save.IsIOError()) << save.ToString();
-  FaultInjection::Clear();
-  ASSERT_TRUE(summary::SaveSummary(r, path).ok());
-
-  FaultInjection::Arm("persistence:read", Status::IOError("torn read"));
-  auto load = summary::LoadSummary(path);
-  EXPECT_TRUE(load.status().IsIOError()) << load.status().ToString();
-  FaultInjection::Clear();
-  EXPECT_TRUE(summary::LoadSummary(path).ok());
-}
 
 TEST_F(FaultInjectionTest, HashJoinBuildSiteDegradesOrFails) {
   gen::BsbmOptions gen_options;

@@ -338,17 +338,6 @@ TEST(MmapStoreTest, UnfreezeMaterializesBorrowedTable) {
   EXPECT_FALSE(t.borrowed());
 }
 
-TEST(MmapStoreTest, OpenWithoutChecksumVerification) {
-  Graph g = BsbmGraph(10);
-  const std::string path = TempPath("fast_open.rsb");
-  ASSERT_TRUE(store::FreezeGraphToFile(g, path).ok());
-  MmapStore::OpenOptions opt;
-  opt.verify_checksums = false;
-  auto store = MmapStore::Open(path, opt);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ((*store)->table().size(), g.NumTriples());
-}
-
 TEST(MmapStoreTest, MissingFileIsCleanError) {
   auto store = MmapStore::Open(TempPath("does_not_exist.rsb"));
   ASSERT_FALSE(store.ok());

@@ -6,6 +6,8 @@
 //     image is RELOADed back and forth between two different graphs — every
 //     response must be *entirely* one epoch's answer set, never a torn mix,
 //     and nothing may race (the drain invariant);
+//   - concurrent RELOADs: each publishes its own epoch, so the final epoch
+//     is 1 + the reload count;
 //   - governance over the wire: timeout, row budget, and client cancel come
 //     back as their documented Status codes, never a hang or a silent
 //     truncation reported as OK;
@@ -536,15 +538,89 @@ TEST(ServerTest, MalformedPayloadsAreCorruptionNeverUB) {
   server::AppendU32(&lying, 1000);  // "1000 bytes of query follow" (they don't)
   EXPECT_FALSE(server::DecodeQueryRequest(lying, &req));
   // Trailing junk after a well-formed request is malformed too.
-  std::string ok_payload = server::EncodeQueryRequest(QueryRequest{});
-  EXPECT_TRUE(server::DecodeQueryRequest(ok_payload, &req));
-  ok_payload.push_back('x');
-  EXPECT_FALSE(server::DecodeQueryRequest(ok_payload, &req));
+  const std::string query_payload =
+      server::EncodeQueryRequest(QueryRequest{});
+  EXPECT_TRUE(server::DecodeQueryRequest(query_payload, &req));
+  EXPECT_FALSE(server::DecodeQueryRequest(query_payload + "x", &req));
 
   server::DoneReply done;
   EXPECT_FALSE(server::DecodeDone("\x00", &done));
+  const std::string done_payload =
+      server::EncodeDone(Status::Cancelled("stop"), 7);
+  EXPECT_TRUE(server::DecodeDone(done_payload, &done));
+  // The 3 padding bytes after the leading u8 must be zero, in QUERY and in
+  // DONE alike.
+  for (size_t i = 1; i <= 3; ++i) {
+    std::string q = query_payload;
+    q[i] = '\x01';
+    EXPECT_FALSE(server::DecodeQueryRequest(q, &req)) << "QUERY byte " << i;
+    std::string d = done_payload;
+    d[i] = '\x01';
+    EXPECT_FALSE(server::DecodeDone(d, &done)) << "DONE byte " << i;
+  }
+
+  // A hostile ROW declaring 2^32-1 columns in an 8-byte payload: sizing
+  // the column vector from it would ask for ~137 GB. The count is checked
+  // against what the payload can hold before anything is allocated.
+  std::vector<std::string> cols;
+  std::string hostile;
+  server::AppendU32(&hostile, 0xFFFFFFFFu);
+  server::AppendU32(&hostile, 0);
+  EXPECT_FALSE(server::DecodeRow(hostile, &cols));
+  EXPECT_EQ(cols.capacity(), 0u);
+  // One more column than the payload holds is rejected too.
+  std::string short_row;
+  server::AppendU32(&short_row, 2);
+  server::AppendLenBytes(&short_row, "");
+  EXPECT_FALSE(server::DecodeRow(short_row, &cols));
+
   // Unknown wire status codes become kInternal, not UB.
   EXPECT_TRUE(server::StatusFromWire(200, "??").IsInternal());
+}
+
+TEST(ServerTest, ConcurrentReloadsPublishDistinctEpochs) {
+  const std::string image = FreezeBsbm(10, "reloadrace.rsb");
+  Server server;
+  ASSERT_TRUE(server.Start(image).ok());
+  const uint16_t port = server.port();
+  constexpr int kThreads = 4;  // one per default worker
+  constexpr int kReloadsPerThread = 10;
+  std::atomic<int> failures{0};
+  std::atomic<int> connected{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      auto client = Client::Connect("127.0.0.1", port);
+      connected.fetch_add(1);
+      if (!client.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      // Start reloading together so the reloads overlap.
+      while (connected.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kReloadsPerThread; ++i) {
+        if (!(*client)->Reload("").ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_EQ(failures.load(), 0);
+  // Every reload published its own epoch: no two shared a number.
+  constexpr uint64_t kReloads = kThreads * kReloadsPerThread;
+  EXPECT_EQ(server.snapshot()->epoch(), 1 + kReloads);
+  auto client = Client::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok());
+  EXPECT_EQ((*client)->server_epoch(), 1 + kReloads);
+  auto stats = (*client)->Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NE(stats->find("epoch: " + std::to_string(1 + kReloads) + "\n"),
+            std::string::npos)
+      << *stats;
+  EXPECT_NE(stats->find("reloads: " + std::to_string(kReloads) + "\n"),
+            std::string::npos)
+      << *stats;
+  server.Stop();
+  server.Wait();
 }
 
 TEST(ServerTest, ReloadFailureKeepsServing) {
