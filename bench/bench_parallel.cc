@@ -1,9 +1,10 @@
 // The paper's §9 future work — parallel summarization — measured: the
-// substrate-sharded weak summarizer and the sharded bisimulation baseline
-// against their sequential counterparts across a thread sweep, plus the
-// streaming maintainer's per-triple cost. Wall times land in
-// BENCH_parallel.json (override the path with RDFSUM_BENCH_JSON) so the
-// scaling trajectory can be tracked and diffed across PRs.
+// sharded weak partition, quotient, Summarize pipeline and bisimulation
+// rounds, and the sharded load + Freeze, across a thread sweep against their
+// one-thread runs, plus the streaming maintainer's per-triple cost. Wall
+// times land in BENCH_parallel.json (override the path with
+// RDFSUM_BENCH_JSON) so the scaling trajectory can be tracked and diffed
+// across PRs.
 
 #include <benchmark/benchmark.h>
 
@@ -18,7 +19,6 @@
 #include "summary/isomorphism.h"
 #include "summary/maintenance.h"
 #include "summary/node_partition.h"
-#include "summary/parallel.h"
 #include "summary/summarizer.h"
 #include "util/csv.h"
 #include "util/parallel_for.h"
@@ -31,13 +31,8 @@ using bench::BenchScales;
 using bench::CachedBsbm;
 using bench::Num;
 using summary::ComputeBisimulationPartition;
-using summary::ComputeParallelWeakPartition;
 using summary::ComputeWeakPartition;
 using summary::NodePartition;
-using summary::ParallelBisimulationOptions;
-using summary::ParallelBisimulationSummarize;
-using summary::ParallelWeakOptions;
-using summary::ParallelWeakSummarize;
 using summary::QuotientByPartition;
 using summary::Summarize;
 using summary::SummaryKind;
@@ -110,27 +105,6 @@ void PrintSweep(bench::BenchJson* json, const std::string& prefix,
   table.Print(std::cout, title);
 }
 
-void PrintParallelWeak(bench::BenchJson* json, bool* all_equal) {
-  summary::SummaryResult batch;
-  PrintSweep(
-      json, "weak",
-      "Future work (§9): parallel weak summarization (substrate-sharded)",
-      all_equal,
-      [&](const Graph& g) {
-        return BestOfTwo([&] { batch = Summarize(g, SummaryKind::kWeak); });
-      },
-      [&](const Graph& g, uint32_t threads) {
-        ParallelWeakOptions options;
-        options.num_threads = threads;
-        summary::SummaryResult r;
-        double secs =
-            BestOfTwo([&] { r = ParallelWeakSummarize(g, options); });
-        return ParallelRun{
-            secs, summary::AreSummariesIsomorphic(batch.graph, r.graph),
-            util::ResolveThreadCount(threads, g.Dense().num_data_edges())};
-      });
-}
-
 // Partition construction alone — the phase the sharded scan parallelizes.
 void PrintParallelWeakPartitionOnly(bench::BenchJson* json, bool* all_equal) {
   NodePartition seq_part;
@@ -142,17 +116,15 @@ void PrintParallelWeakPartitionOnly(bench::BenchJson* json, bool* all_equal) {
       },
       [&](const Graph& g, uint32_t threads) {
         NodePartition part;
-        double secs = BestOfTwo(
-            [&] { part = ComputeParallelWeakPartition(g, threads); });
+        double secs =
+            BestOfTwo([&] { part = ComputeWeakPartition(g, threads); });
         return ParallelRun{
             secs, SamePartition(seq_part, part),
             util::ResolveThreadCount(threads, g.Dense().num_data_edges())};
       });
 }
 
-// Quotient construction alone over a fixed (sequentially computed) weak
-// partition — the phase this PR shards; before it, QuotientByPartition was
-// the dominant sequential tail of every threaded build.
+// Quotient construction alone over a fixed (one-thread) weak partition.
 void PrintParallelQuotient(bench::BenchJson* json, bool* all_equal) {
   NodePartition part;
   summary::SummaryResult batch;
@@ -347,7 +319,6 @@ bool PrintParallel() {
   json.MetaInt("hardware_concurrency", std::thread::hardware_concurrency());
   bool all_equal = true;
   PrintParallelLoad(&json, &all_equal);
-  PrintParallelWeak(&json, &all_equal);
   PrintParallelWeakPartitionOnly(&json, &all_equal);
   PrintParallelQuotient(&json, &all_equal);
   PrintParallelPipeline(&json, &all_equal);
@@ -373,10 +344,10 @@ bool PrintParallel() {
 
 void BM_ParallelWeak(benchmark::State& state) {
   const Graph& g = CachedBsbm(250'000);
-  ParallelWeakOptions options;
+  summary::SummaryOptions options;
   options.num_threads = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
-    auto r = ParallelWeakSummarize(g, options);
+    auto r = Summarize(g, SummaryKind::kWeak, options);
     benchmark::DoNotOptimize(r);
   }
   state.counters["threads"] = static_cast<double>(state.range(0));
@@ -386,10 +357,10 @@ BENCHMARK(BM_ParallelWeak)->Arg(1)->Arg(2)->Arg(4)->Unit(
 
 void BM_ParallelBisimulation(benchmark::State& state) {
   const Graph& g = CachedBsbm(250'000);
-  ParallelBisimulationOptions options;
+  summary::SummaryOptions options;
   options.num_threads = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
-    auto r = ParallelBisimulationSummarize(g, options);
+    auto r = Summarize(g, SummaryKind::kBisimulation, options);
     benchmark::DoNotOptimize(r);
   }
   state.counters["threads"] = static_cast<double>(state.range(0));

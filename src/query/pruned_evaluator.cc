@@ -8,35 +8,40 @@ namespace rdfsum::query {
 
 SummaryPrunedEvaluator::SummaryPrunedEvaluator(const Graph& g,
                                                const Options& options) {
-  summary::SummaryResult h = summary::Summarize(g, options.kind);
+  // The summary only prunes and the estimator only orders joins, so a
+  // summarization that fails (an injected quotient:shard fault) degrades to
+  // unpruned, greedy-equivalent evaluation with the same rows, as the
+  // daemon's estimator does; it never fails a query.
+  StatusOr<summary::SummaryResult> h = summary::TrySummarize(g, options.kind);
   const bool wants_estimator = options.planner == PlannerMode::kSummary;
   if (options.saturate) {
     graph_ = reasoner::Saturate(g);
-    summary_ = reasoner::Saturate(h.graph);
+    if (h.ok()) summary_ = reasoner::Saturate(h->graph);
     if (wants_estimator) {
       // The estimator must model the graph actually queried: `h` describes
       // the unsaturated input, so summarize the saturation itself.
-      summary::SummaryResult model =
-          summary::Summarize(graph_, options.kind);
-      estimator_.emplace(graph_, model);
+      StatusOr<summary::SummaryResult> model =
+          summary::TrySummarize(graph_, options.kind);
+      if (model.ok()) estimator_.emplace(graph_, *model);
     }
   } else {
     graph_ = g.Clone();
     // `h` is a summary of exactly graph_; reuse it before its graph is
     // moved into the pruning slot.
-    if (wants_estimator) estimator_.emplace(graph_, h);
-    summary_ = std::move(h.graph);
+    if (wants_estimator && h.ok()) estimator_.emplace(graph_, *h);
+    if (h.ok()) summary_ = std::move(h->graph);
   }
   EvaluatorOptions graph_options;
   graph_options.planner = options.planner;
   graph_options.estimator = estimator();
   on_graph_.emplace(graph_, graph_options);
-  on_summary_.emplace(summary_);
+  if (h.ok()) on_summary_.emplace(summary_);
 }
 
 bool SummaryPrunedEvaluator::SummaryAdmits(const BgpQuery& q) {
-  // Proposition 1 covers RBGP queries only; other shapes bypass the filter.
-  if (!ValidateRbgp(q).ok()) return true;
+  // Proposition 1 covers RBGP queries only; other shapes bypass the filter,
+  // and so does every query when no summary could be built.
+  if (!on_summary_ || !ValidateRbgp(q).ok()) return true;
   return on_summary_->ExistsMatch(q);
 }
 

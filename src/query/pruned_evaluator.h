@@ -75,7 +75,8 @@ class SummaryPrunedEvaluator {
   StatusOr<Explanation> Explain(const BgpQuery& q);
 
   const Stats& stats() const { return stats_; }
-  /// The summary used for pruning (an RDF graph).
+  /// The summary used for pruning (an RDF graph); empty when summarization
+  /// failed, in which case no query is pruned.
   const Graph& summary_graph() const { return summary_; }
   /// The estimator driving kSummary plans; nullptr for other planners.
   const summary::CardinalityEstimator* estimator() const {

@@ -1,5 +1,7 @@
 #include "store/table_stats.h"
 
+#include <utility>
+
 #include "util/parallel_for.h"
 #include "util/string_util.h"
 
@@ -7,47 +9,10 @@ namespace rdfsum::store {
 
 TableStats TableStats::Compute(const std::vector<Triple>& spo,
                                const std::vector<Triple>& pos,
-                               const std::vector<Triple>& osp) {
-  TableStats out;
-  out.num_triples_ = spo.size();
-
-  // SPO pass: distinct subjects globally (s runs) and per predicate
-  // (distinct (s, p) pairs, which for a fixed p count its distinct
-  // subjects).
-  for (size_t i = 0; i < spo.size(); ++i) {
-    if (i == 0 || spo[i].s != spo[i - 1].s) ++out.num_distinct_subjects_;
-    if (i == 0 || spo[i].s != spo[i - 1].s || spo[i].p != spo[i - 1].p) {
-      ++out.by_predicate_[spo[i].p].distinct_subjects;
-    }
-  }
-
-  // POS pass: per-predicate triple counts, distinct objects per predicate
-  // ((p, o) run boundaries) and distinct predicates (p runs).
-  for (size_t i = 0; i < pos.size(); ++i) {
-    PredicateStats& ps = out.by_predicate_[pos[i].p];
-    ++ps.count;
-    if (i == 0 || pos[i].p != pos[i - 1].p) ++out.num_distinct_predicates_;
-    if (i == 0 || pos[i].p != pos[i - 1].p || pos[i].o != pos[i - 1].o) {
-      ++ps.distinct_objects;
-    }
-  }
-
-  // OSP pass: distinct objects globally (o runs).
-  for (size_t i = 0; i < osp.size(); ++i) {
-    if (i == 0 || osp[i].o != osp[i - 1].o) ++out.num_distinct_objects_;
-  }
-  return out;
-}
-
-TableStats TableStats::Compute(const std::vector<Triple>& spo,
-                               const std::vector<Triple>& pos,
                                const std::vector<Triple>& osp,
                                uint32_t num_threads) {
-  // One shard per ~64k triples: below that the three passes are a few
-  // hundred microseconds and the spawn cost dominates.
-  const uint32_t threads =
-      util::ResolveThreadCount(num_threads, spo.size() / 65536);
-  if (threads <= 1) return Compute(spo, pos, osp);
+  const uint32_t threads = util::ResolveThreadCount(
+      num_threads, spo.size() / kMinTriplesPerStatsShard);
 
   // The three permutations hold the same triple set, so one range sharding
   // covers all three passes. Each shard starts its run-boundary comparisons
@@ -57,6 +22,9 @@ TableStats TableStats::Compute(const std::vector<Triple>& spo,
   util::ParallelForRanges(
       threads, spo.size(), [&](uint32_t shard, uint64_t begin, uint64_t end) {
         TableStats& part = parts[shard];
+        // SPO pass: distinct subjects globally (s runs) and per predicate
+        // (distinct (s, p) pairs, which for a fixed p count its distinct
+        // subjects).
         for (uint64_t i = begin; i < end; ++i) {
           if (i == 0 || spo[i].s != spo[i - 1].s) {
             ++part.num_distinct_subjects_;
@@ -65,6 +33,8 @@ TableStats TableStats::Compute(const std::vector<Triple>& spo,
             ++part.by_predicate_[spo[i].p].distinct_subjects;
           }
         }
+        // POS pass: per-predicate triple counts, distinct objects per
+        // predicate ((p, o) run boundaries) and distinct predicates (p runs).
         for (uint64_t i = begin; i < end; ++i) {
           PredicateStats& ps = part.by_predicate_[pos[i].p];
           ++ps.count;
@@ -75,14 +45,17 @@ TableStats TableStats::Compute(const std::vector<Triple>& spo,
             ++ps.distinct_objects;
           }
         }
+        // OSP pass: distinct objects globally (o runs).
         for (uint64_t i = begin; i < end; ++i) {
           if (i == 0 || osp[i].o != osp[i - 1].o) ++part.num_distinct_objects_;
         }
       });
 
-  TableStats out;
+  // Fold the later shards into the first.
+  TableStats out = std::move(parts[0]);
   out.num_triples_ = spo.size();
-  for (const TableStats& part : parts) {
+  for (uint32_t shard = 1; shard < threads; ++shard) {
+    const TableStats& part = parts[shard];
     out.num_distinct_subjects_ += part.num_distinct_subjects_;
     out.num_distinct_predicates_ += part.num_distinct_predicates_;
     out.num_distinct_objects_ += part.num_distinct_objects_;

@@ -8,7 +8,6 @@
 #include "rdf/dense_graph.h"
 #include "rdf/graph.h"
 #include "summary/summary.h"
-#include "summary/union_find.h"
 
 namespace rdfsum::summary {
 
@@ -24,20 +23,21 @@ struct NodePartition {
 
 /// ≡W (Definition 7) with the Nτ convention: all typed-only resources form
 /// one class.
-NodePartition ComputeWeakPartition(const Graph& g);
-
-/// Assembles the weak NodePartition from a union-find over dense node ids
-/// (nodes with no data property collapse into Nτ). This is the canonical
-/// class-id assignment shared by ComputeWeakPartition and the parallel weak
-/// path — any change to it changes both identically.
-NodePartition WeakPartitionFromUnionFind(const DenseGraph& dg, UnionFind& uf);
-
-/// The same canonical assembly from a pre-resolved root array (root_of[i] =
-/// union-find root of dense node i; any values < num_nodes). The parallel
-/// weak path compresses its concurrent union-find into `root_of` with a
-/// parallel pass and enters here, so the class-id assignment stays shared.
-NodePartition WeakPartitionFromRoots(const DenseGraph& dg,
-                                     const std::vector<uint32_t>& root_of);
+///
+/// Sharded over contiguous ranges of the dense edge list (1 = one shard run
+/// inline on the caller, 0 = all hardware threads): each shard keeps flat
+/// per-property anchor arrays and hooks repeat endpoints into one shared
+/// lock-free AtomicUnionFind, shard anchors then join the substrate's global
+/// first-seen anchors, and a sharded compress pass feeds the canonical
+/// class numbering. Weak equivalence is the union-find closure of "shares a
+/// property occurrence", which does not depend on the order unions apply
+/// in, so the partition is identical at every thread count.
+///
+/// `exec` (optional) makes the sharded phases cancellable: workers fall
+/// through to their join barrier and a tripped context returns an empty
+/// partition the caller must discard after consulting exec->Check().
+NodePartition ComputeWeakPartition(const Graph& g, uint32_t num_threads = 1,
+                                   util::ExecContext* exec = nullptr);
 
 /// ≡S (Definition 7): same (source clique, target clique); typed-only
 /// resources have (∅,∅) and form one class (Nτ).
@@ -64,10 +64,10 @@ NodePartition ComputeTypedStrongPartition(const Graph& g,
 /// bench_baseline_bisimulation measures.
 ///
 /// `num_threads` shards each refinement round over dense node-id ranges
-/// (1 = sequential, 0 = all hardware threads); each round's spawn/join is
-/// the re-labeling barrier. Every per-node signature hash is a pure
-/// function of the previous round's colors, so the partition is identical
-/// at every thread count.
+/// (1 = one shard run inline, 0 = all hardware threads); each round's
+/// spawn/join is the re-labeling barrier. Every per-node signature hash is a
+/// pure function of the previous round's colors, so the partition is
+/// identical at every thread count.
 ///
 /// `exec` (optional) makes the rounds cancellable: workers poll it between
 /// chunks and fall through to the round barrier, and a tripped context

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -9,6 +10,7 @@
 
 #include "rdf/graph_stats.h"
 #include "summary/union_find.h"
+#include "util/string_util.h"
 
 // This file intentionally preserves the pre-substrate implementations,
 // including their hash-map-per-endpoint indexing idiom. Do not "optimize"
@@ -391,6 +393,50 @@ NodePartition ReferenceTypedStrongPartition(const Graph& g,
         pair_class.emplace(key, static_cast<uint32_t>(pair_class.size()));
     return it->second;
   });
+}
+
+StatusOr<SummaryResult> ReferenceQuotient(const Graph& g,
+                                          const NodePartition& part,
+                                          SummaryKind kind) {
+  SummaryResult out;
+  out.kind = kind;
+  out.graph = Graph(g.dict_ptr());
+  std::string tag = AsciiToLower(SummaryKindName(kind));
+  std::vector<TermId> class_node(part.num_classes, kInvalidTermId);
+  Dictionary& dict = out.graph.dict();
+  for (uint32_t c = 0; c < part.num_classes; ++c) {
+    class_node[c] = dict.MintNodeUri("node:" + tag);
+  }
+
+  TermId mapped[2];
+  auto map_node = [&](TermId n, TermId* slot) {
+    auto it = part.class_of.find(n);
+    if (it == part.class_of.end()) return false;
+    *slot = class_node[it->second];
+    return true;
+  };
+  for (const Triple& t : g.data()) {
+    if (!map_node(t.s, &mapped[0]) || !map_node(t.o, &mapped[1])) {
+      return Status::InvalidArgument(
+          "partition does not cover every graph node");
+    }
+    out.graph.Add(Triple{mapped[0], t.p, mapped[1]});
+  }
+  const TermId rdf_type = g.vocab().rdf_type;
+  for (const Triple& t : g.types()) {
+    if (!map_node(t.s, &mapped[0])) {
+      return Status::InvalidArgument(
+          "partition does not cover every graph node");
+    }
+    out.graph.Add(Triple{mapped[0], rdf_type, t.o});
+  }
+  for (const Triple& t : g.schema()) out.graph.Add(t);
+
+  for (const auto& [n, c] : part.class_of) {
+    out.node_map.emplace(n, class_node[c]);
+  }
+  out.stats = ComputeSummaryStats(out.graph, 0.0);
+  return out;
 }
 
 }  // namespace rdfsum::summary

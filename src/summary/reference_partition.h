@@ -6,6 +6,7 @@
 #include "rdf/graph.h"
 #include "summary/node_partition.h"
 #include "summary/summary.h"
+#include "util/statusor.h"
 
 namespace rdfsum::summary {
 
@@ -24,6 +25,16 @@ NodePartition ReferenceTypedStrongPartition(const Graph& g,
                                             TypedSummaryMode mode);
 NodePartition ReferenceBisimulationPartition(const Graph& g, uint32_t depth,
                                              bool use_types);
+
+/// The literal Definition-9 quotient: one minted node per class in class-id
+/// order, then every data triple, type triple and schema triple of `g`, in
+/// that order, mapped through `part` and added one by one (Graph::Add keeps
+/// the first occurrence). The oracle QuotientByPartition's sharded build
+/// must reproduce byte for byte (serialized graph and node_map); fills the
+/// graph, node_map and stats. A node `part` misses returns kInvalidArgument.
+StatusOr<SummaryResult> ReferenceQuotient(const Graph& g,
+                                          const NodePartition& part,
+                                          SummaryKind kind);
 
 }  // namespace rdfsum::summary
 

@@ -17,7 +17,7 @@
 #include "query/evaluator.h"
 #include "query/sparql_parser.h"
 #include "rdf/graph.h"
-#include "summary/parallel.h"
+#include "summary/node_partition.h"
 #include "summary/summarizer.h"
 #include "util/exec_context.h"
 
@@ -68,7 +68,7 @@ TEST(CancellationTest, CancelledPartitionReturnsEmptyAndStickyStatus) {
   util::ExecContext ctx;
   ctx.Cancel();
   summary::NodePartition part =
-      summary::ComputeParallelWeakPartition(TestGraph(), 4, &ctx);
+      summary::ComputeWeakPartition(TestGraph(), 4, &ctx);
   EXPECT_TRUE(part.class_of.empty());
   EXPECT_TRUE(ctx.Check().IsCancelled());
 }

@@ -10,6 +10,7 @@
 #include "gen/bsbm.h"
 #include "gen/paper_example.h"
 #include "query/evaluator.h"
+#include "query/pruned_evaluator.h"
 #include "query/sparql_parser.h"
 #include "summary/summarizer.h"
 #include "util/fault_injection.h"
@@ -112,17 +113,49 @@ TEST_F(FaultInjectionTest, HashJoinBuildSiteDegradesOrFails) {
 
 TEST_F(FaultInjectionTest, QuotientShardSiteSurfacesThroughTrySummarize) {
   gen::Figure2Example ex = gen::BuildFigure2();
-  summary::SummaryOptions options;
-  options.num_threads = 4;
+  // One thread is one shard run inline: the site fires there too.
+  for (uint32_t threads : {1u, 4u}) {
+    summary::SummaryOptions options;
+    options.num_threads = threads;
+    FaultInjection::Arm("quotient:shard", Status::Internal("shard died"));
+    auto r = summary::TrySummarize(ex.graph, summary::SummaryKind::kWeak,
+                                   options);
+    ASSERT_FALSE(r.ok()) << "threads " << threads;
+    EXPECT_TRUE(r.status().IsInternal()) << r.status().ToString();
+    FaultInjection::Clear();
+    EXPECT_TRUE(
+        summary::TrySummarize(ex.graph, summary::SummaryKind::kWeak, options)
+            .ok())
+        << "threads " << threads;
+  }
+}
+
+TEST_F(FaultInjectionTest, PrunedEvaluatorDegradesWhenSummaryFails) {
+  // The summary only prunes and the estimator only orders joins: with the
+  // quotient failing, the pruned evaluator answers unpruned, same rows.
+  gen::BsbmOptions gen_options;
+  gen_options.num_products = 100;
+  const Graph g = gen::GenerateBsbm(gen_options);
+  query::BgpQuery q =
+      query::ParseSparql(
+          "SELECT ?p ?f WHERE { ?p <http://bsbm.example.org/producer> ?f . "
+          "?p <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+          "<http://bsbm.example.org/Product> . }")
+          .value();
+  query::SummaryPrunedEvaluator::Options options;
+  options.planner = query::PlannerMode::kSummary;
+  query::SummaryPrunedEvaluator clean(g, options);
+  auto want = clean.Evaluate(q);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
   FaultInjection::Arm("quotient:shard", Status::Internal("shard died"));
-  auto r = summary::TrySummarize(ex.graph, summary::SummaryKind::kWeak,
-                                 options);
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsInternal()) << r.status().ToString();
-  FaultInjection::Clear();
-  EXPECT_TRUE(
-      summary::TrySummarize(ex.graph, summary::SummaryKind::kWeak, options)
-          .ok());
+  query::SummaryPrunedEvaluator degraded(g, options);
+  EXPECT_GE(FaultInjection::HitCount("quotient:shard"), 1u);
+  EXPECT_TRUE(degraded.summary_graph().Empty());
+  EXPECT_EQ(degraded.estimator(), nullptr);
+  auto got = degraded.Evaluate(q);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, *want);
 }
 
 }  // namespace

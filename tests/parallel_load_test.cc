@@ -4,15 +4,19 @@
 // order, same serialized N-Triples, same stats and diagnostics — for every
 // dataset shape and thread count, including pathological chunkings (CRLF,
 // long lines, comments/blanks/malformed lines straddling chunk boundaries).
-// The same contract is asserted for the parallel TripleTable::Freeze(): the
-// three sorted permutations and the table statistics must match Freeze() at
+// TripleTable::Freeze() is walled the same way: the three sorted
+// permutations and the table statistics must match a brute-force oracle at
 // every thread count.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "gen/bsbm.h"
@@ -364,8 +368,8 @@ TEST_F(ParallelLoadFailpointTest, DictMergeFailpointAbortsParallelLoad) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel Freeze differential: permutations and statistics must match the
-// sequential Freeze() at every thread count.
+// Freeze differential: permutations and statistics must match a brute-force
+// oracle at every thread count, one included.
 
 namespace {
 void ExpectStatsEqual(const store::TableStats& a, const store::TableStats& b,
@@ -405,27 +409,74 @@ std::vector<Triple> SyntheticTriples(size_t n) {
   }
   return out;
 }
+
+/// Freeze computed the slow, obvious way: permutations from a std::set of the
+/// rows re-sorted by tuple comparisons, stats counted with sets.
+struct FreezeOracle {
+  std::vector<Triple> spo, pos, osp;
+  store::TableStats stats;
+};
+
+FreezeOracle BruteForceFreeze(const std::vector<Triple>& rows) {
+  const std::set<Triple> distinct(rows.begin(), rows.end());
+  FreezeOracle out;
+  out.spo.assign(distinct.begin(), distinct.end());
+  out.pos = out.spo;
+  std::sort(out.pos.begin(), out.pos.end(),
+            [](const Triple& a, const Triple& b) {
+              return std::tie(a.p, a.o, a.s) < std::tie(b.p, b.o, b.s);
+            });
+  out.osp = out.spo;
+  std::sort(out.osp.begin(), out.osp.end(),
+            [](const Triple& a, const Triple& b) {
+              return std::tie(a.o, a.s, a.p) < std::tie(b.o, b.s, b.p);
+            });
+
+  std::set<TermId> subjects, predicates, objects;
+  std::map<TermId, uint64_t> count;
+  std::map<TermId, std::set<TermId>> subjects_of, objects_of;
+  for (const Triple& t : distinct) {
+    subjects.insert(t.s);
+    predicates.insert(t.p);
+    objects.insert(t.o);
+    ++count[t.p];
+    subjects_of[t.p].insert(t.s);
+    objects_of[t.p].insert(t.o);
+  }
+  std::vector<std::pair<TermId, store::PredicateStats>> per_predicate;
+  for (const auto& [p, n] : count) {
+    per_predicate.push_back(
+        {p, store::PredicateStats{n, subjects_of[p].size(),
+                                  objects_of[p].size()}});
+  }
+  out.stats = store::TableStats::Restore(distinct.size(), subjects.size(),
+                                         predicates.size(), objects.size(),
+                                         per_predicate);
+  return out;
+}
 }  // namespace
 
 TEST(ParallelFreezeTest, ByteIdenticalAcrossThreadCounts) {
-  const std::vector<Triple> rows = SyntheticTriples(40000);
-  store::TripleTable seq;
-  seq.AppendAll(rows);
-  seq.Freeze();
+  // Enough distinct rows for the statistics to run in at least two shards,
+  // so the shard-border run comparisons are exercised.
+  const std::vector<Triple> rows = SyntheticTriples(150000);
+  const FreezeOracle oracle = BruteForceFreeze(rows);
+  ASSERT_GE(oracle.spo.size(),
+            2 * store::TableStats::kMinTriplesPerStatsShard);
   for (uint32_t threads : kThreadCounts) {
     store::TripleTable par;
     par.AppendAll(rows);
     par.Freeze(threads);
     const std::string label = "t" + std::to_string(threads);
-    for (store::IndexKind kind : {store::IndexKind::kSpo,
-                                  store::IndexKind::kPos,
-                                  store::IndexKind::kOsp}) {
-      auto a = seq.Permutation(kind);
-      auto b = par.Permutation(kind);
-      ASSERT_EQ(a.size(), b.size()) << label;
-      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << label;
+    for (auto [kind, want] :
+         {std::pair{store::IndexKind::kSpo, &oracle.spo},
+          std::pair{store::IndexKind::kPos, &oracle.pos},
+          std::pair{store::IndexKind::kOsp, &oracle.osp}}) {
+      auto got = par.Permutation(kind);
+      ASSERT_EQ(got.size(), want->size()) << label;
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want->begin())) << label;
     }
-    ExpectStatsEqual(seq.stats(), par.stats(), label);
+    ExpectStatsEqual(par.stats(), oracle.stats, label);
   }
 }
 

@@ -1,11 +1,12 @@
-// Differential wall for the parallel quotient construction: with
-// SummaryOptions::num_threads != 1 the summary must be BYTE-identical to the
-// sequential build — same minted urn:rdfsum: ids, same triple insertion
-// order, same serialized N-Triples — for every summary kind, dataset shape,
-// raw/saturated input, and thread count. Minting advances the shared
-// dictionary's counter, so every comparison builds the input graph twice
-// (identical construction => identical TermIds) and summarizes each copy
-// once, exactly like the determinism tests in parallel_test.cc.
+// Differential wall for the sharded quotient construction: at every
+// SummaryOptions::num_threads, 1 included, the summary must be BYTE-identical
+// to ReferenceQuotient — the literal Definition-9 walk over the pre-substrate
+// partitions — with the same minted urn:rdfsum: ids, the same triple
+// insertion order, the same serialized N-Triples and node_map, for every
+// summary kind, dataset shape, raw/saturated input, and thread count.
+// Minting advances the shared dictionary's counter, so every comparison
+// builds the input graph twice (identical construction => identical TermIds)
+// and summarizes each copy once.
 
 #include <gtest/gtest.h>
 
@@ -20,15 +21,16 @@
 #include "reasoner/saturation.h"
 #include "summary/node_partition.h"
 #include "summary/property_checks.h"
+#include "summary/reference_partition.h"
 #include "summary/summarizer.h"
 
 namespace rdfsum::summary {
 namespace {
 
-// 1 is the sequential baseline; 2/4 split evenly, 7 leaves ragged shard
+// 1 is one shard run inline; 2/4 split evenly, 7 leaves ragged shard
 // ranges, 8 exceeds the class/type counts of the small datasets, 0 = all
 // hardware threads.
-constexpr uint32_t kThreadCounts[] = {2, 4, 7, 8, 0};
+constexpr uint32_t kThreadCounts[] = {1, 2, 4, 7, 8, 0};
 
 constexpr SummaryKind kAllKinds[] = {
     SummaryKind::kWeak,         SummaryKind::kStrong,
@@ -81,34 +83,58 @@ Graph MakeGraph(Dataset d, bool saturated) {
   return saturated ? reasoner::Saturate(g) : g;
 }
 
+/// The pre-substrate partition of `kind` under the SummaryOptions defaults.
+NodePartition ReferencePartition(const Graph& g, SummaryKind kind) {
+  const SummaryOptions defaults;
+  switch (kind) {
+    case SummaryKind::kWeak:
+      return ReferenceWeakPartition(g);
+    case SummaryKind::kStrong:
+      return ReferenceStrongPartition(g);
+    case SummaryKind::kTypedWeak:
+      return ReferenceTypedWeakPartition(g, defaults.typed_mode);
+    case SummaryKind::kTypedStrong:
+      return ReferenceTypedStrongPartition(g, defaults.typed_mode);
+    case SummaryKind::kTypeBased:
+      return ReferenceTypePartition(g);
+    case SummaryKind::kBisimulation:
+      return ReferenceBisimulationPartition(
+          g, defaults.bisimulation_depth, defaults.bisimulation_uses_types);
+  }
+  throw std::logic_error("unknown summary kind");
+}
+
+/// The oracle summary of a fresh copy of the dataset.
+SummaryResult ReferenceSummary(Dataset d, bool saturated, SummaryKind kind) {
+  Graph g = MakeGraph(d, saturated);
+  return ReferenceQuotient(g, ReferencePartition(g, kind), kind).value();
+}
+
 class ParallelQuotientWallTest
     : public ::testing::TestWithParam<std::tuple<Dataset, bool>> {};
 
 TEST_P(ParallelQuotientWallTest, ByteIdenticalAcrossKindsAndThreadCounts) {
   auto [dataset, saturated] = GetParam();
   for (SummaryKind kind : kAllKinds) {
-    Graph g_seq = MakeGraph(dataset, saturated);
-    SummaryOptions seq_options;
-    seq_options.num_threads = 1;
-    seq_options.record_members = true;
-    SummaryResult seq = Summarize(g_seq, kind, seq_options);
-    const std::string seq_nt = io::NTriplesWriter::ToString(seq.graph);
+    SummaryResult ref = ReferenceSummary(dataset, saturated, kind);
+    const std::string ref_nt = io::NTriplesWriter::ToString(ref.graph);
 
     for (uint32_t threads : kThreadCounts) {
-      Graph g_par = MakeGraph(dataset, saturated);
-      SummaryOptions par_options = seq_options;
-      par_options.num_threads = threads;
-      SummaryResult par = Summarize(g_par, kind, par_options);
+      Graph g = MakeGraph(dataset, saturated);
+      SummaryOptions options;
+      options.num_threads = threads;
+      options.record_members = true;
+      SummaryResult got = Summarize(g, kind, options);
       const std::string label = std::string(SummaryKindName(kind)) + " t" +
                                 std::to_string(threads);
       // Serialized summary (data, type, and schema insertion order plus
       // minted ids) is the byte-identity contract.
-      EXPECT_EQ(seq_nt, io::NTriplesWriter::ToString(par.graph)) << label;
+      EXPECT_EQ(ref_nt, io::NTriplesWriter::ToString(got.graph)) << label;
       // The representation maps agree id-for-id too.
-      EXPECT_EQ(seq.node_map, par.node_map) << label;
-      EXPECT_EQ(seq.stats.num_all_nodes, par.stats.num_all_nodes) << label;
-      EXPECT_EQ(seq.stats.num_all_edges, par.stats.num_all_edges) << label;
-      EXPECT_TRUE(CheckHomomorphism(g_par, par).ok()) << label;
+      EXPECT_EQ(ref.node_map, got.node_map) << label;
+      EXPECT_EQ(ref.stats.num_all_nodes, got.stats.num_all_nodes) << label;
+      EXPECT_EQ(ref.stats.num_all_edges, got.stats.num_all_edges) << label;
+      EXPECT_TRUE(CheckHomomorphism(g, got).ok()) << label;
     }
   }
 }
@@ -124,24 +150,25 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The explicit-partition entry point shards identically: quotient an
-// externally computed partition at several thread counts against the
-// sequential build.
+// externally computed partition at every thread count against the oracle
+// walk over the same partition.
 TEST(ParallelQuotientTest, ExplicitPartitionByteIdentical) {
-  Graph g_seq = MakeGraph(Dataset::kHetero, /*saturated=*/false);
-  NodePartition part_seq = ComputeWeakPartition(g_seq);
-  SummaryResult seq =
-      QuotientByPartition(g_seq, part_seq, SummaryKind::kWeak, {}).value();
-  const std::string seq_nt = io::NTriplesWriter::ToString(seq.graph);
+  Graph g_ref = MakeGraph(Dataset::kHetero, /*saturated=*/false);
+  SummaryResult ref =
+      ReferenceQuotient(g_ref, ReferenceWeakPartition(g_ref),
+                        SummaryKind::kWeak)
+          .value();
+  const std::string ref_nt = io::NTriplesWriter::ToString(ref.graph);
   for (uint32_t threads : kThreadCounts) {
-    Graph g_par = MakeGraph(Dataset::kHetero, /*saturated=*/false);
-    NodePartition part_par = ComputeWeakPartition(g_par);
+    Graph g = MakeGraph(Dataset::kHetero, /*saturated=*/false);
+    NodePartition part = ComputeWeakPartition(g);
     SummaryOptions options;
     options.num_threads = threads;
-    SummaryResult par =
-        QuotientByPartition(g_par, part_par, SummaryKind::kWeak, options)
-            .value();
-    EXPECT_EQ(seq_nt, io::NTriplesWriter::ToString(par.graph))
+    SummaryResult got =
+        QuotientByPartition(g, part, SummaryKind::kWeak, options).value();
+    EXPECT_EQ(ref_nt, io::NTriplesWriter::ToString(got.graph))
         << "threads " << threads;
+    EXPECT_EQ(ref.node_map, got.node_map) << "threads " << threads;
   }
 }
 
@@ -185,8 +212,8 @@ TEST(ParallelQuotientTest, MoreThreadsThanTriples) {
   EXPECT_EQ(r.stats.num_type_edges, 1u);
 }
 
-// A partition that misses graph nodes returns kInvalidArgument on both the
-// threaded and sequential paths (the library does not throw).
+// A partition that misses graph nodes returns kInvalidArgument at one and at
+// several threads, as the oracle walk does (the library does not throw).
 TEST(ParallelQuotientTest, IncompletePartitionReturnsInvalidArgument) {
   Graph g = MakeGraph(Dataset::kPaper, /*saturated=*/false);
   NodePartition partial;
@@ -199,6 +226,9 @@ TEST(ParallelQuotientTest, IncompletePartitionReturnsInvalidArgument) {
   auto seq = QuotientByPartition(g, partial, SummaryKind::kWeak, {});
   ASSERT_FALSE(seq.ok());
   EXPECT_TRUE(seq.status().IsInvalidArgument()) << seq.status().ToString();
+  auto ref = ReferenceQuotient(g, partial, SummaryKind::kWeak);
+  ASSERT_FALSE(ref.ok());
+  EXPECT_TRUE(ref.status().IsInvalidArgument()) << ref.status().ToString();
 }
 
 }  // namespace

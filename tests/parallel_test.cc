@@ -10,7 +10,6 @@
 #include "io/ntriples_writer.h"
 #include "summary/isomorphism.h"
 #include "summary/node_partition.h"
-#include "summary/parallel.h"
 #include "summary/property_checks.h"
 #include "summary/reference_partition.h"
 #include "summary/summarizer.h"
@@ -18,8 +17,8 @@
 namespace rdfsum::summary {
 namespace {
 
-// Thread counts the sweeps cover: sequential, even split, an odd count that
-// leaves ragged shard ranges, and 0 = hardware concurrency.
+// Thread counts the sweeps cover: one inline shard, even split, an odd count
+// that leaves ragged shard ranges, and 0 = hardware concurrency.
 constexpr uint32_t kThreadCounts[] = {1, 2, 7, 0};
 
 void ExpectIdenticalPartition(const NodePartition& got,
@@ -31,6 +30,22 @@ void ExpectIdenticalPartition(const NodePartition& got,
     ASSERT_NE(it, got.class_of.end()) << label << " missing node " << node;
     EXPECT_EQ(it->second, cls) << label << " node " << node;
   }
+}
+
+// Summarize at `threads` (0 = all hardware threads).
+SummaryResult SummarizeAt(const Graph& g, SummaryKind kind, uint32_t threads,
+                          bool record_members = false) {
+  SummaryOptions options;
+  options.num_threads = threads;
+  options.record_members = record_members;
+  return Summarize(g, kind, options);
+}
+
+// The oracle summaries: the literal Definition-9 quotient through the
+// pre-substrate partitions.
+SummaryResult ReferenceWeakSummary(const Graph& g) {
+  return ReferenceQuotient(g, ReferenceWeakPartition(g), SummaryKind::kWeak)
+      .value();
 }
 
 Graph HeteroGraph(uint64_t seed) {
@@ -46,11 +61,9 @@ Graph HeteroGraph(uint64_t seed) {
 
 TEST(ParallelWeakTest, IdenticalPartitionToBatchOnFigure2) {
   gen::Figure2Example ex = gen::BuildFigure2();
-  SummaryResult batch = Summarize(ex.graph, SummaryKind::kWeak);
-  ParallelWeakOptions options;
-  options.num_threads = 3;
-  SummaryResult par = ParallelWeakSummarize(ex.graph, options);
-  // The parallel path promises the *same* partition, so node-for-node the
+  SummaryResult batch = ReferenceWeakSummary(ex.graph);
+  SummaryResult par = SummarizeAt(ex.graph, SummaryKind::kWeak, 3);
+  // The sharded path promises the *same* partition, so node-for-node the
   // grouping agrees (minted URIs differ).
   for (const auto& [n, h] : batch.node_map) {
     ASSERT_TRUE(par.node_map.count(n));
@@ -69,16 +82,13 @@ class ParallelWeakSweepTest
 TEST_P(ParallelWeakSweepTest, PartitionByteIdenticalAcrossThreadCounts) {
   auto [threads, seed] = GetParam();
   Graph g = HeteroGraph(seed);
-  // Byte-identity against both the sequential substrate path and the frozen
-  // pre-substrate oracle: same class_of, same canonical class ids.
-  NodePartition par = ComputeParallelWeakPartition(g, threads);
-  ExpectIdenticalPartition(par, ComputeWeakPartition(g), "vs sequential");
-  ExpectIdenticalPartition(par, ReferenceWeakPartition(g), "vs reference");
+  // Byte-identity against the frozen pre-substrate oracle: same class_of,
+  // same canonical class ids.
+  ExpectIdenticalPartition(ComputeWeakPartition(g, threads),
+                           ReferenceWeakPartition(g), "vs reference");
 
-  SummaryResult batch = Summarize(g, SummaryKind::kWeak);
-  ParallelWeakOptions options;
-  options.num_threads = threads;
-  SummaryResult summarized = ParallelWeakSummarize(g, options);
+  SummaryResult batch = ReferenceWeakSummary(g);
+  SummaryResult summarized = SummarizeAt(g, SummaryKind::kWeak, threads);
   EXPECT_EQ(summarized.stats.num_data_nodes, batch.stats.num_data_nodes);
   EXPECT_EQ(summarized.graph.NumTriples(), batch.graph.NumTriples());
   EXPECT_TRUE(AreSummariesIsomorphic(batch.graph, summarized.graph));
@@ -99,11 +109,11 @@ TEST(ParallelWeakTest, MatchesBatchOnBsbm) {
   gen::BsbmOptions opt;
   opt.num_products = 300;
   Graph g = gen::GenerateBsbm(opt);
-  SummaryResult batch = Summarize(g, SummaryKind::kWeak);
-  SummaryResult par = ParallelWeakSummarize(g);
+  SummaryResult batch = ReferenceWeakSummary(g);
+  SummaryResult par = SummarizeAt(g, SummaryKind::kWeak, 0);
   EXPECT_TRUE(AreSummariesIsomorphic(batch.graph, par.graph));
   for (uint32_t threads : kThreadCounts) {
-    ExpectIdenticalPartition(ComputeParallelWeakPartition(g, threads),
+    ExpectIdenticalPartition(ComputeWeakPartition(g, threads),
                              ReferenceWeakPartition(g), "bsbm");
   }
 }
@@ -112,11 +122,11 @@ TEST(ParallelWeakTest, MatchesBatchOnLubm) {
   gen::LubmOptions opt;
   opt.num_universities = 2;
   Graph g = gen::GenerateLubm(opt);
-  SummaryResult batch = Summarize(g, SummaryKind::kWeak);
-  SummaryResult par = ParallelWeakSummarize(g);
+  SummaryResult batch = ReferenceWeakSummary(g);
+  SummaryResult par = SummarizeAt(g, SummaryKind::kWeak, 0);
   EXPECT_TRUE(AreSummariesIsomorphic(batch.graph, par.graph));
   for (uint32_t threads : kThreadCounts) {
-    ExpectIdenticalPartition(ComputeParallelWeakPartition(g, threads),
+    ExpectIdenticalPartition(ComputeWeakPartition(g, threads),
                              ReferenceWeakPartition(g), "lubm");
   }
 }
@@ -124,9 +134,7 @@ TEST(ParallelWeakTest, MatchesBatchOnLubm) {
 TEST(ParallelWeakTest, EmptyGraph) {
   Graph g;
   for (uint32_t threads : kThreadCounts) {
-    ParallelWeakOptions options;
-    options.num_threads = threads;
-    SummaryResult par = ParallelWeakSummarize(g, options);
+    SummaryResult par = SummarizeAt(g, SummaryKind::kWeak, threads);
     EXPECT_TRUE(par.graph.Empty());
   }
 }
@@ -142,11 +150,9 @@ TEST(ParallelWeakTest, SinglePropertyGraph) {
            d.EncodeIri("o" + std::to_string(i))});
   }
   for (uint32_t threads : kThreadCounts) {
-    ParallelWeakOptions options;
-    options.num_threads = threads;
-    SummaryResult par = ParallelWeakSummarize(g, options);
+    SummaryResult par = SummarizeAt(g, SummaryKind::kWeak, threads);
     EXPECT_EQ(par.stats.num_data_nodes, 2u) << "threads " << threads;
-    ExpectIdenticalPartition(ComputeParallelWeakPartition(g, threads),
+    ExpectIdenticalPartition(ComputeWeakPartition(g, threads),
                              ReferenceWeakPartition(g), "single-property");
   }
 }
@@ -156,7 +162,7 @@ TEST(ParallelWeakTest, TypesOnlyGraph) {
   Dictionary& d = g.dict();
   g.Add({d.EncodeIri("x"), g.vocab().rdf_type, d.EncodeIri("C1")});
   g.Add({d.EncodeIri("y"), g.vocab().rdf_type, d.EncodeIri("C2")});
-  SummaryResult par = ParallelWeakSummarize(g);
+  SummaryResult par = SummarizeAt(g, SummaryKind::kWeak, 0);
   EXPECT_EQ(par.stats.num_data_nodes, 1u);  // Nτ
   EXPECT_EQ(par.graph.types().size(), 2u);
 }
@@ -165,9 +171,7 @@ TEST(ParallelWeakTest, MoreThreadsThanTriples) {
   Graph g;
   Dictionary& d = g.dict();
   g.Add({d.EncodeIri("a"), d.EncodeIri("p"), d.EncodeIri("b")});
-  ParallelWeakOptions options;
-  options.num_threads = 64;
-  SummaryResult par = ParallelWeakSummarize(g, options);
+  SummaryResult par = SummarizeAt(g, SummaryKind::kWeak, 64);
   EXPECT_EQ(par.stats.num_data_nodes, 2u);
 }
 
@@ -177,27 +181,22 @@ TEST(ParallelWeakTest, DeterministicSummariesAcrossThreadCounts) {
   // class ids, same minted URIs.
   Graph g3 = HeteroGraph(23);
   Graph g5 = HeteroGraph(23);
-  ParallelWeakOptions o3;
-  o3.num_threads = 3;
-  ParallelWeakOptions o5;
-  o5.num_threads = 5;
-  SummaryResult r3 = ParallelWeakSummarize(g3, o3);
-  SummaryResult r5 = ParallelWeakSummarize(g5, o5);
+  SummaryResult r3 = SummarizeAt(g3, SummaryKind::kWeak, 3);
+  SummaryResult r5 = SummarizeAt(g5, SummaryKind::kWeak, 5);
   EXPECT_EQ(io::NTriplesWriter::ToString(r3.graph),
             io::NTriplesWriter::ToString(r5.graph));
 
   // And two runs at the same thread count are byte-identical too.
   Graph g3b = HeteroGraph(23);
-  SummaryResult r3b = ParallelWeakSummarize(g3b, o3);
+  SummaryResult r3b = SummarizeAt(g3b, SummaryKind::kWeak, 3);
   EXPECT_EQ(io::NTriplesWriter::ToString(r3.graph),
             io::NTriplesWriter::ToString(r3b.graph));
 }
 
 TEST(ParallelWeakTest, RecordMembers) {
   gen::Figure2Example ex = gen::BuildFigure2();
-  ParallelWeakOptions options;
-  options.record_members = true;
-  SummaryResult par = ParallelWeakSummarize(ex.graph, options);
+  SummaryResult par = SummarizeAt(ex.graph, SummaryKind::kWeak, 0,
+                                  /*record_members=*/true);
   EXPECT_EQ(par.members.at(par.node_map.at(ex.r1)).size(), 5u);
 }
 
@@ -236,13 +235,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ParallelBisimulationTest, SummaryMatchesSequentialFacade) {
   Graph g = HeteroGraph(29);
+  SummaryResult batch =
+      ReferenceQuotient(g, ReferenceBisimulationPartition(g, 2, true),
+                        SummaryKind::kBisimulation)
+          .value();
   SummaryOptions options;
   options.bisimulation_depth = 2;
-  SummaryResult batch = Summarize(g, SummaryKind::kBisimulation, options);
-  ParallelBisimulationOptions popt;
-  popt.num_threads = 4;
-  popt.depth = 2;
-  SummaryResult par = ParallelBisimulationSummarize(g, popt);
+  options.num_threads = 4;
+  SummaryResult par = Summarize(g, SummaryKind::kBisimulation, options);
   EXPECT_EQ(par.stats.num_data_nodes, batch.stats.num_data_nodes);
   EXPECT_EQ(par.graph.NumTriples(), batch.graph.NumTriples());
   EXPECT_TRUE(AreSummariesIsomorphic(batch.graph, par.graph));
@@ -252,30 +252,22 @@ TEST(ParallelBisimulationTest, SummaryMatchesSequentialFacade) {
 TEST(ParallelBisimulationTest, DeterministicSummariesAcrossThreadCounts) {
   Graph g2 = HeteroGraph(37);
   Graph g7 = HeteroGraph(37);
-  ParallelBisimulationOptions o2;
-  o2.num_threads = 2;
-  ParallelBisimulationOptions o7;
-  o7.num_threads = 7;
-  SummaryResult r2 = ParallelBisimulationSummarize(g2, o2);
-  SummaryResult r7 = ParallelBisimulationSummarize(g7, o7);
+  SummaryResult r2 = SummarizeAt(g2, SummaryKind::kBisimulation, 2);
+  SummaryResult r7 = SummarizeAt(g7, SummaryKind::kBisimulation, 7);
   EXPECT_EQ(io::NTriplesWriter::ToString(r2.graph),
             io::NTriplesWriter::ToString(r7.graph));
 }
 
 TEST(ParallelBisimulationTest, EmptyGraph) {
   Graph g;
-  ParallelBisimulationOptions options;
-  options.num_threads = 5;
-  SummaryResult par = ParallelBisimulationSummarize(g, options);
+  SummaryResult par = SummarizeAt(g, SummaryKind::kBisimulation, 5);
   EXPECT_TRUE(par.graph.Empty());
 }
 
 TEST(ParallelBisimulationTest, RecordMembers) {
   gen::Figure2Example ex = gen::BuildFigure2();
-  ParallelBisimulationOptions options;
-  options.record_members = true;
-  options.num_threads = 3;
-  SummaryResult par = ParallelBisimulationSummarize(ex.graph, options);
+  SummaryResult par = SummarizeAt(ex.graph, SummaryKind::kBisimulation, 3,
+                                  /*record_members=*/true);
   size_t total = 0;
   for (const auto& [h, members] : par.members) total += members.size();
   EXPECT_EQ(total, par.node_map.size());

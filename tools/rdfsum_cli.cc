@@ -516,10 +516,15 @@ int CmdQuery(const std::vector<std::string>& args, util::ExecContext* exec,
     query::EvaluatorOptions direct_options;
     direct_options.planner = planner;
     if (planner == query::PlannerMode::kSummary) {
-      model.emplace(
-          summary::Summarize(*direct_target, summary::SummaryKind::kWeak));
-      estimator.emplace(*direct_target, *model);
-      direct_options.estimator = &*estimator;
+      // A failed summarization degrades to greedy-equivalent planning, as
+      // in the daemon.
+      StatusOr<summary::SummaryResult> summarized =
+          summary::TrySummarize(*direct_target, summary::SummaryKind::kWeak);
+      if (summarized.ok()) {
+        model.emplace(std::move(summarized).value());
+        estimator.emplace(*direct_target, *model);
+        direct_options.estimator = &*estimator;
+      }
     }
     direct.emplace(*direct_target, direct_options);
   }
