@@ -56,48 +56,48 @@ bool SamePartition(const NodePartition& a, const NodePartition& b) {
   return a.num_classes == b.num_classes && a.class_of == b.class_of;
 }
 
-/// One parallel measurement: wall time, whether the result matched the
-/// sequential baseline, and the thread count the runtime actually spawned
-/// for the dominant sharded phase (ResolveThreadCount of the requested
-/// count against that phase's work size; phases over smaller inputs — the
-/// type scan, bisimulation's node ranges — may resolve lower).
+/// One sweep measurement: wall time, whether the result matched the
+/// reference run, and the thread count the runtime actually spawned for the
+/// dominant sharded phase (ResolveThreadCount of the requested count
+/// against that phase's work size; phases over smaller inputs — the type
+/// scan, bisimulation's node ranges — may resolve lower).
 struct ParallelRun {
   double seconds = 0.0;
   bool matched = false;
   uint32_t effective_threads = 0;
 };
 
-// One thread sweep over the bench scales: `sequential(g)` measures the
-// baseline (stashing whatever the equality check needs), then
-// `parallel(g, threads)` runs the sharded path. Records land in the JSON as
-// <prefix>_sequential and <prefix>_p<threads>, each parallel row carrying
-// its requested and effective thread counts. Any baseline mismatch clears
-// *all_equal (the caller turns that into a non-zero exit).
-template <typename Sequential, typename Parallel>
+// One thread sweep over the bench scales: `reference(g)` runs the
+// one-thread path once, untimed, stashing whatever the equality check
+// needs; then `parallel(g, threads)` times the sharded path at each sweep
+// count. Records land in the JSON as <prefix>_p<threads>, each carrying its
+// requested and effective thread counts; the speedup column is p1 over p4.
+// Any reference mismatch clears *all_equal (the caller turns that into a
+// non-zero exit).
+template <typename Reference, typename Parallel>
 void PrintSweep(bench::BenchJson* json, const std::string& prefix,
                 const std::string& title, bool* all_equal,
-                Sequential&& sequential, Parallel&& parallel) {
-  TablePrinter table({"triples", "sequential (ms)", "1t (ms)", "2t (ms)",
-                      "4t (ms)", "8t (ms)", "speedup@4", "equal"});
+                Reference&& reference, Parallel&& parallel) {
+  TablePrinter table({"triples", "1t (ms)", "2t (ms)", "4t (ms)", "8t (ms)",
+                      "speedup@4", "equal"});
   for (uint64_t scale : BenchScales()) {
     const Graph& g = CachedBsbm(scale);
     g.Dense();  // substrate shared by every run below; build it once up front
-    double seq = sequential(g);
-    json->RecordThreads(prefix + "_sequential", scale, seq, 1, 1);
+    reference(g);
 
-    std::vector<std::string> row = {Num(g.NumTriples()),
-                                    FormatDouble(seq * 1e3, 1)};
-    double at4 = seq;
+    std::vector<std::string> row = {Num(g.NumTriples())};
+    double at1 = 0.0, at4 = 0.0;
     bool equal = true;
     for (uint32_t threads : kSweepThreads) {
       ParallelRun run = parallel(g, threads);
       json->RecordThreads(prefix + "_p" + std::to_string(threads), scale,
                           run.seconds, threads, run.effective_threads);
       row.push_back(FormatDouble(run.seconds * 1e3, 1));
+      if (threads == 1) at1 = run.seconds;
       if (threads == 4) at4 = run.seconds;
       equal = equal && run.matched;
     }
-    row.push_back(FormatDouble(seq / at4, 2) + "x");
+    row.push_back(FormatDouble(at1 / at4, 2) + "x");
     row.push_back(equal ? "yes" : "NO (bug!)");
     *all_equal = *all_equal && equal;
     table.AddRow(row);
@@ -111,9 +111,7 @@ void PrintParallelWeakPartitionOnly(bench::BenchJson* json, bool* all_equal) {
   PrintSweep(
       json, "weak_partition",
       "Parallel weak partition only (quotient excluded)", all_equal,
-      [&](const Graph& g) {
-        return BestOfTwo([&] { seq_part = ComputeWeakPartition(g); });
-      },
+      [&](const Graph& g) { seq_part = ComputeWeakPartition(g); },
       [&](const Graph& g, uint32_t threads) {
         NodePartition part;
         double secs =
@@ -133,9 +131,7 @@ void PrintParallelQuotient(bench::BenchJson* json, bool* all_equal) {
       "Parallel quotient construction (fixed weak partition)", all_equal,
       [&](const Graph& g) {
         part = ComputeWeakPartition(g);
-        return BestOfTwo([&] {
-          batch = QuotientByPartition(g, part, SummaryKind::kWeak, {}).value();
-        });
+        batch = QuotientByPartition(g, part, SummaryKind::kWeak, {}).value();
       },
       [&](const Graph& g, uint32_t threads) {
         summary::SummaryOptions options;
@@ -162,12 +158,7 @@ void PrintParallelPipeline(bench::BenchJson* json, bool* all_equal) {
   PrintSweep(
       json, "pipeline",
       "Parallel pipeline: partition + quotient (Summarize, weak)", all_equal,
-      [&](const Graph& g) {
-        summary::SummaryOptions options;
-        options.num_threads = 1;
-        return BestOfTwo(
-            [&] { batch = Summarize(g, SummaryKind::kWeak, options); });
-      },
+      [&](const Graph& g) { batch = Summarize(g, SummaryKind::kWeak); },
       [&](const Graph& g, uint32_t threads) {
         summary::SummaryOptions options;
         options.num_threads = threads;
@@ -189,8 +180,7 @@ void PrintParallelBisimulation(bench::BenchJson* json, bool* all_equal) {
       json, "bisim", "Parallel bisimulation refinement (depth 2, typed)",
       all_equal,
       [&](const Graph& g) {
-        return BestOfTwo(
-            [&] { seq_part = ComputeBisimulationPartition(g, 2, true); });
+        seq_part = ComputeBisimulationPartition(g, 2, true);
       },
       [&](const Graph& g, uint32_t threads) {
         NodePartition part;
@@ -205,12 +195,12 @@ void PrintParallelBisimulation(bench::BenchJson* json, bool* all_equal) {
       });
 }
 
-// The ingestion pipeline this PR parallelizes: N-Triples parse (chunked),
+// The parallel ingestion pipeline: N-Triples parse (chunked),
 // dictionary merge + replay, and TripleTable::Freeze, swept across thread
 // counts. Each row records the requested and effective thread counts
 // (effective = chunks the parser actually split into) plus the phase
-// breakdown; any deviation from the sequential load — triples, ids, or
-// frozen SPO permutation — clears *all_equal.
+// breakdown; any deviation from an untimed one-thread reference load —
+// triples, ids, or frozen SPO permutation — clears *all_equal.
 void PrintParallelLoad(bench::BenchJson* json, bool* all_equal) {
   struct LoadRun {
     double total = 0.0;
@@ -248,20 +238,16 @@ void PrintParallelLoad(bench::BenchJson* json, bool* all_equal) {
     if (second.total < out->total) *out = std::move(second);
   };
 
-  TablePrinter table({"triples", "sequential (ms)", "1t (ms)", "2t (ms)",
-                      "4t (ms)", "8t (ms)", "speedup@4", "equal"});
+  TablePrinter table({"triples", "1t (ms)", "2t (ms)", "4t (ms)", "8t (ms)",
+                      "speedup@4", "equal"});
   for (uint64_t scale : BenchScales()) {
     const std::string input = io::NTriplesWriter::ToString(CachedBsbm(scale));
-    LoadRun seq;
-    best_of_two(input, 1, &seq);
-    json->RecordLoad("load_sequential", scale, seq.total, 1, 1,
-                     seq.stats.parse_seconds, seq.stats.intern_seconds,
-                     seq.freeze_seconds);
+    LoadRun ref;
+    run_once(input, 1, &ref);
 
-    std::vector<std::string> row = {Num(seq.g.NumTriples()),
-                                    FormatDouble(seq.total * 1e3, 1)};
-    double at4 = seq.total;
-    bool equal = seq.ok;
+    std::vector<std::string> row = {Num(ref.g.NumTriples())};
+    double at1 = 0.0, at4 = 0.0;
+    bool equal = ref.ok;
     for (uint32_t threads : kSweepThreads) {
       LoadRun par;
       best_of_two(input, threads, &par);
@@ -269,16 +255,17 @@ void PrintParallelLoad(bench::BenchJson* json, bool* all_equal) {
                        threads, par.stats.chunks, par.stats.parse_seconds,
                        par.stats.intern_seconds, par.freeze_seconds);
       row.push_back(FormatDouble(par.total * 1e3, 1));
+      if (threads == 1) at1 = par.total;
       if (threads == 4) at4 = par.total;
       // Byte-identity: same triples with the same ids in the same insertion
       // order, same dictionary size, same frozen SPO permutation.
-      equal = equal && par.ok && par.g.data() == seq.g.data() &&
-              par.g.types() == seq.g.types() &&
-              par.g.schema() == seq.g.schema() &&
-              par.g.dict().size() == seq.g.dict().size() &&
-              par.spo == seq.spo;
+      equal = equal && par.ok && par.g.data() == ref.g.data() &&
+              par.g.types() == ref.g.types() &&
+              par.g.schema() == ref.g.schema() &&
+              par.g.dict().size() == ref.g.dict().size() &&
+              par.spo == ref.spo;
     }
-    row.push_back(FormatDouble(seq.total / at4, 2) + "x");
+    row.push_back(FormatDouble(at1 / at4, 2) + "x");
     row.push_back(equal ? "yes" : "NO (bug!)");
     *all_equal = *all_equal && equal;
     table.AddRow(row);
@@ -335,8 +322,8 @@ bool PrintParallel() {
     std::cerr << "failed to write " << out << "\n";
   }
   if (!all_equal) {
-    std::cerr << "BUG: a parallel path diverged from its sequential "
-                 "baseline (see the 'equal' columns above)\n";
+    std::cerr << "BUG: a parallel path diverged from its one-thread "
+                 "reference (see the 'equal' columns above)\n";
   }
   std::cout.flush();
   return all_equal && wrote;
@@ -385,7 +372,7 @@ BENCHMARK(BM_MaintainerInsert)->Unit(benchmark::kMillisecond);
 }  // namespace rdfsum
 
 int main(int argc, char** argv) {
-  // A parallel/sequential divergence is a correctness bug, not a perf
+  // A divergence across thread counts is a correctness bug, not a perf
   // datapoint: fail the run so CI's bench smoke gates on it.
   if (!rdfsum::PrintParallel()) return 1;
   benchmark::Initialize(&argc, argv);

@@ -71,9 +71,9 @@ bool Dictionary::ViewTermEquals(uint32_t id, const Term& term) const {
 
 const Term& Dictionary::DecodeView(uint32_t id) const {
   assert(id >= 1 && id <= base_terms_);
-  // Double-checked with the lock held on the slow path only: once a cache
-  // entry is published (under the lock) it is never replaced, and readers
-  // that observe it non-null see a fully constructed Term.
+  // Every call takes the lock, hit or miss. A cache entry is published under
+  // it and never replaced, so the returned reference stays valid (and the
+  // Term immutable) for the dictionary's lifetime, after the lock drops.
   std::lock_guard<std::mutex> lock(view_cache_mu_);
   std::unique_ptr<Term>& slot = view_cache_[id];
   if (!slot) {

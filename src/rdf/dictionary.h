@@ -60,8 +60,8 @@ static_assert(sizeof(DictionaryView::Slot) == 16);
 /// Term lazily, caching it for reference stability. New terms — saturation
 /// vocabulary, minted summary nodes — go to a mutable overlay and get ids
 /// above the base, so a view-mode dictionary composes with every existing
-/// consumer. View-mode Decode of a not-yet-cached id takes a lock; owned-
-/// mode behavior and layout are unchanged.
+/// consumer. Every view-mode Decode of a base id takes a lock (the cache's
+/// mutex); owned-mode behavior and layout are unchanged.
 class Dictionary {
  public:
   Dictionary() {

@@ -484,9 +484,9 @@ std::string Server::StatsText() const {
     out << "phase_" << p.name << "_mean_us: " << p.c.mean_us() << "\n";
     out << "phase_" << p.name << "_max_us: " << p.c.max_us() << "\n";
   }
-  for (const Snapshot::MintReport& m : snap->MintReports()) {
-    out << "summary_mint_" << m.kind << ": "
-        << (m.ok ? "ok" : "failed") << " " << m.seconds << "s\n";
+  if (std::optional<Snapshot::MintReport> m = snap->WeakMintReport()) {
+    out << "summary_mint_W: " << (m->ok ? "ok" : "failed") << " "
+        << m->seconds << "s\n";
   }
   return out.str();
 }

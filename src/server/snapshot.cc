@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "summary/summarizer.h"
 #include "util/timer.h"
 
 namespace rdfsum::server {
@@ -19,64 +20,31 @@ StatusOr<std::shared_ptr<Snapshot>> Snapshot::Open(const std::string& path,
   return snap;
 }
 
-Graph Snapshot::ReinternedGraph() const {
-  const Dictionary& serving = store_->dict();
-  Graph g;  // fresh dictionary — isolated from every concurrent reader
-  g.dict().Reserve(serving.size());
-  auto spo = store_->table().Permutation(store::IndexKind::kSpo);
-  g.Reserve(spo.size());
-  for (const Triple& t : spo) {
-    g.AddTerms(serving.Decode(t.s), serving.Decode(t.p), serving.Decode(t.o));
-  }
-  return g;
-}
-
-StatusOr<const summary::SummaryResult*> Snapshot::Summary(
-    summary::SummaryKind kind) {
-  MintSlot& s = slot(kind);
-  std::call_once(s.once, [&] {
-    Timer timer;
-    s.graph.emplace(ReinternedGraph());
-    auto r = summary::TrySummarize(*s.graph, kind);
-    if (r.ok()) {
-      s.result.emplace(std::move(r).value());
-    } else {
-      s.status = r.status();
-      s.graph.reset();
-    }
-    s.seconds = timer.ElapsedSeconds();
-    s.done.store(true, std::memory_order_release);
-  });
-  if (!s.status.ok()) return s.status;
-  return &*s.result;
-}
-
 StatusOr<const summary::CardinalityEstimator*> Snapshot::Estimator() {
   std::call_once(estimator_once_, [&] {
-    auto sum = Summary(summary::SummaryKind::kWeak);
-    if (!sum.ok()) {
+    Timer timer;
+    StatusOr<Graph> graph = store_->ToGraph();
+    StatusOr<summary::SummaryResult> sum =
+        graph.ok() ? summary::TrySummarize(*graph, summary::SummaryKind::kWeak)
+                   : StatusOr<summary::SummaryResult>(graph.status());
+    mint_seconds_ = timer.ElapsedSeconds();
+    if (sum.ok()) {
+      // The estimator copies what it needs and keeps the graph's private
+      // dictionary alive; no thread mutates that dictionary after this
+      // point, so concurrent Estimate() calls are pure reads.
+      estimator_.emplace(*graph, *sum);
+    } else {
       estimator_status_ = sum.status();
-      return;
     }
-    // The estimator compiles patterns against its summary's dictionary at
-    // estimate time; that dictionary is the kWeak slot's private one, which
-    // no thread mutates after the mint completes — concurrent Estimate()
-    // calls are pure reads.
-    estimator_.emplace(*slot(summary::SummaryKind::kWeak).graph, **sum);
+    mint_done_.store(true, std::memory_order_release);
   });
   if (!estimator_status_.ok()) return estimator_status_;
   return &*estimator_;
 }
 
-std::vector<Snapshot::MintReport> Snapshot::MintReports() const {
-  std::vector<MintReport> out;
-  for (size_t i = 0; i < 6; ++i) {
-    const MintSlot& s = mints_[i];
-    if (!s.done.load(std::memory_order_acquire)) continue;
-    out.push_back({summary::SummaryKindName(static_cast<summary::SummaryKind>(i)),
-                   s.status.ok(), s.seconds});
-  }
-  return out;
+std::optional<Snapshot::MintReport> Snapshot::WeakMintReport() const {
+  if (!mint_done_.load(std::memory_order_acquire)) return std::nullopt;
+  return MintReport{estimator_status_.ok(), mint_seconds_};
 }
 
 }  // namespace rdfsum::server

@@ -6,33 +6,31 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "query/evaluator.h"
-#include "rdf/graph.h"
 #include "store/mmap_store.h"
 #include "summary/cardinality.h"
-#include "summary/summarizer.h"
 #include "util/statusor.h"
 
 namespace rdfsum::server {
 
 /// One immutable epoch of the serving daemon: a validated mmap'd `.rsb`
-/// image, a zero-copy BgpEvaluator over it, and lazily-minted summaries.
-/// Snapshots are published behind shared_ptr (server/server.h): every
-/// in-flight request holds a reference, so an epoch swap never invalidates
-/// a running query — the old snapshot drains and frees when its last
-/// reference drops (the drain invariant, src/server/README.md).
+/// image, a zero-copy BgpEvaluator over it, and a lazily-built cardinality
+/// estimator for the summary planner. Snapshots are published behind
+/// shared_ptr (server/server.h): every in-flight request holds a reference,
+/// so an epoch swap never invalidates a running query — the old snapshot
+/// drains and frees when its last reference drops (the drain invariant,
+/// src/server/README.md).
 ///
 /// Thread safety. All query-path members are read-only after Open():
 /// the evaluator plans and opens cursors from const state, and the
-/// view-mode Dictionary's decode cache is internally locked. Summary
-/// minting is the one lazy mutation, and it is isolated by construction:
-/// each kind mints into a *private* graph with a *private* dictionary
-/// (the table is decoded through the serving dictionary — a read — and
-/// re-interned), so minting never writes memory a concurrent reader
-/// probes. A std::once_flag per kind makes each mint happen exactly once;
-/// concurrent first requests for different kinds proceed independently.
+/// view-mode Dictionary's decode cache is internally locked. The estimator
+/// is the one lazy mutation, made once under a std::once_flag: it
+/// materializes the image's graph in image ids over a *private* view
+/// dictionary (store::MmapStore::ToGraph), mints the weak summary into that
+/// dictionary's overlay, and builds the estimator. Minting never writes
+/// memory a concurrent reader of dict() probes; the image bytes both
+/// dictionaries view are read-only.
 class Snapshot {
  public:
   /// Opens and validates `path` (store::MmapStore's corruption wall runs in
@@ -50,62 +48,40 @@ class Snapshot {
   const Dictionary& dict() const { return store_->dict(); }
   const store::TripleTable& table() const { return store_->table(); }
 
-  /// The summary of this snapshot's graph, minted on first request (once
-  /// per kind, per the once_flag contract above) and memoized for the
-  /// snapshot's lifetime. The result lives in a private id space — use it
-  /// for pruning verdicts and estimation, not for joining ids against the
-  /// serving dictionary.
-  StatusOr<const summary::SummaryResult*> Summary(summary::SummaryKind kind);
-
   /// Stefanoni-style cardinality estimator over the weak summary, for
-  /// kSummary planning; built (and its summary minted) on first request.
+  /// kSummary planning; built on first request and memoized for the
+  /// snapshot's lifetime. The graph and summary it is built from are
+  /// dropped once it exists. Fails (kNotSupported) on an image frozen
+  /// without the dense substrate.
   StatusOr<const summary::CardinalityEstimator*> Estimator();
 
-  /// One STATS line per summary kind that has completed a mint attempt:
-  /// kind name, wall seconds (graph re-intern + summarize), and whether it
-  /// succeeded.
+  /// The weak-summary mint's STATS line: whether it succeeded and its wall
+  /// seconds (graph materialization + summarize). Empty until the first
+  /// Estimator() call has finished its attempt.
   struct MintReport {
-    const char* kind;
     bool ok;
     double seconds;
   };
-  std::vector<MintReport> MintReports() const;
+  std::optional<MintReport> WeakMintReport() const;
 
  private:
   Snapshot() = default;
 
-  struct MintSlot {
-    std::once_flag once;
-    /// Private re-interned copy of the snapshot's triples; its dictionary
-    /// is untouched by any other thread, so summarization can mint freely.
-    std::optional<Graph> graph;
-    std::optional<summary::SummaryResult> result;
-    Status status;
-    double seconds = 0.0;
-    /// Release-published after the mint attempt finishes; MintReports and
-    /// late readers acquire it before touching status/seconds.
-    std::atomic<bool> done{false};
-  };
-
-  /// Decodes the snapshot's table through the serving dictionary and
-  /// re-interns every triple into a fresh graph + dictionary.
-  Graph ReinternedGraph() const;
-
-  MintSlot& slot(summary::SummaryKind kind) {
-    return mints_[static_cast<size_t>(kind)];
-  }
-
   std::string path_;
   uint64_t epoch_ = 0;
   uint64_t num_triples_ = 0;
+  // Declared before the estimator: the estimator's dictionary views this
+  // store's mapping, so the store must be destroyed after it.
   std::unique_ptr<store::MmapStore> store_;
   std::optional<query::BgpEvaluator> evaluator_;
-
-  MintSlot mints_[6];  // indexed by SummaryKind
 
   std::once_flag estimator_once_;
   std::optional<summary::CardinalityEstimator> estimator_;
   Status estimator_status_;
+  double mint_seconds_ = 0.0;
+  /// Release-published after the mint attempt finishes; WeakMintReport
+  /// acquires it before touching estimator_status_/mint_seconds_.
+  std::atomic<bool> mint_done_{false};
 };
 
 }  // namespace rdfsum::server

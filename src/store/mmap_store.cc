@@ -153,7 +153,7 @@ StatusOr<Graph> MmapStore::ToGraph() const {
         "include_dense to summarize from it)");
   }
   std::shared_ptr<const DenseGraph> dense = LoadDenseFromImage(image_);
-  Graph g(dict_);
+  Graph g(Dictionary::FromView(image_.dictionary_view()));
   g.Reserve(image_.meta().num_triples);
   // Replay the data component from the dense edge list: kEdges preserves
   // graph (insertion) order, so the rebuilt data_ vector — and with it the

@@ -15,9 +15,11 @@ namespace rdfsum::store {
 
 struct FreezeOptions {
   /// Also serialize the DenseGraph substrate (sections 11-25). Required for
-  /// summarization and ToGraph() from the image; pure query serving only
-  /// needs the permutations. Freezing an already-warm graph reuses its
-  /// cached substrate.
+  /// summarization and ToGraph() from the image — including the serving
+  /// daemon's weak-summary mint for the summary planner, which degrades to
+  /// greedy-equivalent plans on an image frozen without it. Pure query
+  /// serving only needs the permutations. Freezing an already-warm graph
+  /// reuses its cached substrate.
   bool include_dense = true;
   /// Workers for the permutation sorts + statistics (TripleTable::Freeze):
   /// 1 = one shard, inline (default), 0 = all hardware cores. The image
@@ -65,18 +67,24 @@ class MmapStore {
 
   const FrozenImage& image() const { return image_; }
   const Dictionary& dict() const { return *dict_; }
-  const std::shared_ptr<Dictionary>& dict_ptr() const { return dict_; }
   const TripleTable& table() const { return table_; }
   bool has_dense() const { return image_.has_dense(); }
 
   /// Materializes a full Graph from the image, byte-identical to the graph
   /// that was frozen: the data component is replayed from the stored dense
   /// edges (original insertion order), types and schema from their verbatim
-  /// sections, the dictionary (with its minted-URI counter) is shared with
-  /// this store, and the stored substrate is installed so Dense() never
+  /// sections, and the stored substrate is installed so Dense() never
   /// rebuilds. Summaries computed from the result equal the parse path's
-  /// bit for bit. Requires has_dense(); the Graph shares this store's
-  /// dictionary and must not outlive it.
+  /// bit for bit.
+  ///
+  /// The Graph's ids are the image's ids: its dictionary is a fresh view
+  /// over the image's dictionary sections (with the stored minted-URI
+  /// counter), served zero-copy, never this store's dict(). Terms the
+  /// caller adds — saturation vocabulary, minted urn:rdfsum: summary
+  /// nodes — land in that private dictionary's overlay, so materializing
+  /// and summarizing never write memory a concurrent dict() reader
+  /// touches. Returns kNotSupported unless has_dense(). The Graph, and
+  /// anything sharing its dictionary, must not outlive this store.
   StatusOr<Graph> ToGraph() const;
 
  private:

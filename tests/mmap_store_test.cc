@@ -188,9 +188,9 @@ TEST(MmapStoreTest, ToGraphIsByteIdenticalForSummaries) {
   for (summary::SummaryKind kind : summary::kAllQuotientKinds) {
     summary::SummaryResult a = summary::Summarize(ex.graph, kind);
     summary::SummaryResult b = summary::Summarize(*g2, kind);
-    // Stronger than isomorphism: identical triple sets under a shared
-    // dictionary (ToGraph shares the store's dictionary, whose ids extend
-    // the frozen ones).
+    // ToGraph's graph keeps the frozen graph's ids (its dictionary is a
+    // private view of the image's), and each side mints its summary nodes
+    // into its own dictionary: same size, isomorphic up to minted names.
     EXPECT_EQ(a.graph.NumTriples(), b.graph.NumTriples())
         << summary::SummaryKindName(kind);
     EXPECT_TRUE(summary::AreSummariesIsomorphic(a.graph, b.graph))

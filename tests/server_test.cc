@@ -15,8 +15,9 @@
 //     with kResourceExhausted before HELLO;
 //   - plan cache: same-shape queries with different constants hit, and the
 //     skeleton-instantiated plan returns identical rows;
-//   - summary memoization: one mint per kind per snapshot, reported in
-//     STATS.
+//   - estimator memoization: one weak-summary mint per snapshot, in image
+//     ids and outside the serving dictionary, reported in STATS — and a
+//     failed mint (no dense substrate) degrades to greedy plans.
 
 #include <gtest/gtest.h>
 
@@ -37,6 +38,7 @@
 #include "gen/bsbm.h"
 #include "query/evaluator.h"
 #include "query/plan.h"
+#include "query/rbgp.h"
 #include "query/sparql_parser.h"
 #include "rdf/graph.h"
 #include "server/client.h"
@@ -45,7 +47,10 @@
 #include "server/snapshot.h"
 #include "server/wire.h"
 #include "store/mmap_store.h"
+#include "summary/cardinality.h"
+#include "summary/summarizer.h"
 #include "summary/summary.h"
+#include "util/random.h"
 
 namespace rdfsum {
 namespace {
@@ -459,41 +464,70 @@ TEST(ServerTest, NormalizedShapeAbstractsConstantsButNotStructure) {
                   " ?z <http://e.org/b> ?o }"));
 }
 
-TEST(ServerTest, SnapshotMemoizesSummariesAcrossConcurrentRequests) {
-  const std::string image = FreezeBsbm(10, "memo.rsb");
+TEST(ServerTest, SnapshotMemoizesEstimatorAcrossConcurrentRequests) {
+  gen::BsbmOptions opt;
+  opt.num_products = 10;
+  Graph g = gen::GenerateBsbm(opt);
+  const std::string image = TempPath("memo.rsb");
+  ASSERT_TRUE(store::FreezeGraphToFile(g, image).ok());
   auto snap = server::Snapshot::Open(image, 1);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  const size_t serving_terms = (*snap)->dict().size();
+  EXPECT_FALSE((*snap)->WeakMintReport().has_value());
 
-  // Concurrent first requests for the same kind get the same minted object.
+  // Concurrent first requests get the same estimator from one mint.
   constexpr int kThreads = 4;
-  const summary::SummaryResult* seen[kThreads] = {};
+  const summary::CardinalityEstimator* seen[kThreads] = {};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      auto r = (*snap)->Summary(summary::SummaryKind::kWeak);
+      auto r = (*snap)->Estimator();
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       seen[t] = *r;
     });
   }
   for (std::thread& t : threads) t.join();
+  ASSERT_NE(seen[0], nullptr);
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+  auto report = (*snap)->WeakMintReport();
+  ASSERT_TRUE(report.has_value());
+  EXPECT_TRUE(report->ok);
+  EXPECT_GE(report->seconds, 0.0);
+  auto again = (*snap)->Estimator();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, seen[0]);
+  EXPECT_EQ((*snap)->WeakMintReport()->seconds, report->seconds);
 
-  // A second kind mints independently; both show up in the mint report
-  // with a recorded wall time.
-  auto typed = (*snap)->Summary(summary::SummaryKind::kTypedWeak);
-  ASSERT_TRUE(typed.ok());
-  auto reports = (*snap)->MintReports();
-  ASSERT_EQ(reports.size(), 2u);
-  for (const auto& r : reports) {
-    EXPECT_TRUE(r.ok);
-    EXPECT_GE(r.seconds, 0.0);
+  // The mint wrote nothing into the serving dictionary: the parse path's
+  // summary mints the same urn:rdfsum: names (the image carries the mint
+  // counter), and none of them is visible through dict().
+  EXPECT_EQ((*snap)->dict().size(), serving_terms);
+  summary::SummaryResult ref = summary::Summarize(g, summary::SummaryKind::kWeak);
+  size_t minted = 0;
+  ref.graph.ForEachTriple([&](const Triple& t) {
+    for (TermId id : {t.s, t.o}) {
+      if (!g.dict().IsMinted(id)) continue;
+      ++minted;
+      EXPECT_EQ((*snap)->dict().Lookup(g.dict().Decode(id)), kInvalidTermId)
+          << g.dict().Decode(id).ToNTriples();
+    }
+  });
+  EXPECT_GT(minted, 0u);
+
+  // Estimates in image ids equal an estimator over the parse-path graph.
+  summary::CardinalityEstimator expected(g, ref);
+  Random rng(5);
+  int compared = 0;
+  for (int i = 0; i < 200 && compared < 24; ++i) {
+    query::BgpQuery q = query::GenerateRbgpQuery(g, rng);
+    if (q.triples.empty()) continue;
+    ++compared;
+    summary::CardinalityEstimate want = expected.Estimate(q);
+    summary::CardinalityEstimate got = seen[0]->Estimate(q);
+    EXPECT_EQ(got.estimate, want.estimate) << q.ToString();
+    EXPECT_EQ(got.truncated, want.truncated) << q.ToString();
   }
-  // The estimator memoizes too and reuses the weak mint.
-  auto est1 = (*snap)->Estimator();
-  auto est2 = (*snap)->Estimator();
-  ASSERT_TRUE(est1.ok());
-  EXPECT_EQ(*est1, *est2);
-  EXPECT_EQ((*snap)->MintReports().size(), 2u);  // no extra mint
+  EXPECT_GE(compared, 20);
 }
 
 TEST(ServerTest, SummaryPlannerServesWithMemoizedEstimator) {
@@ -517,6 +551,42 @@ TEST(ServerTest, SummaryPlannerServesWithMemoizedEstimator) {
   auto stats = (*client)->Stats();
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("summary_mint_W: ok"), std::string::npos) << *stats;
+  server.Stop();
+  server.Wait();
+}
+
+TEST(ServerTest, SummaryPlannerOnNoDenseImageDegradesToGreedy) {
+  // An image frozen without the dense substrate cannot be summarized: the
+  // mint fails once, and summary-planned requests fall back to greedy-
+  // equivalent plans instead of failing.
+  gen::BsbmOptions opt;
+  opt.num_products = 15;
+  Graph g = gen::GenerateBsbm(opt);
+  const std::string image = TempPath("nodense.rsb");
+  store::FreezeOptions fo;
+  fo.include_dense = false;
+  ASSERT_TRUE(store::FreezeGraphToFile(g, image, fo).ok());
+  Server server;
+  ASSERT_TRUE(server.Start(image).ok());
+  const uint16_t port = server.port();
+  const std::string q =
+      "SELECT ?s WHERE { ?s <http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+      " ?t . ?s <http://bsbm.example.org/price> ?p }";
+  QueryRequest req;
+  req.planner = 2;  // summary
+  std::vector<std::string> first, second;
+  ASSERT_TRUE(ServedRows("127.0.0.1", port, q, req, &first).ok());
+  ASSERT_TRUE(ServedRows("127.0.0.1", port, q, req, &second).ok());
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, LocalRows(image, q));
+  EXPECT_EQ(second, first);
+  auto client = Client::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok());
+  auto stats = (*client)->Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NE(stats->find("summary_mint_W: failed"), std::string::npos)
+      << *stats;
+  EXPECT_NE(stats->find("queries_failed: 0\n"), std::string::npos) << *stats;
   server.Stop();
   server.Wait();
 }
